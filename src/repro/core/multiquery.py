@@ -74,6 +74,7 @@ from repro.kernels.frontier import (
     query_distances,
     query_node_rows,
 )
+from repro.kernels.plancache import PlanKey, plan_cache, plan_fingerprint
 from repro.obs import hooks as _obs
 from repro.storage.disk import DEFAULT_PAGE_BYTES, DiskSimulator, MemoryBudget
 
@@ -149,6 +150,11 @@ class SharedScanTRS:
         self.fused = fused
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
+        # Per-layout memos, so repeat groups pay only for their scans:
+        # (layout, plan fingerprint) and the dissimilarity matrices. The
+        # staged data pages live on ``self._trs`` (``_stage_data``).
+        self._fp_memo: tuple | None = None
+        self._mats = None
 
     def prepare(self) -> None:
         self._trs.prepare()
@@ -159,6 +165,22 @@ class SharedScanTRS:
         the planner hands over the engine's already-sorted layout so a
         fresh shared-scan instance skips the sort."""
         self._trs.use_layout(entries)
+
+    def _plan_fp(self) -> str:
+        """The plan-cache fingerprint of the prepared layout, computed
+        once per layout (as :meth:`VectorTRS._plan_fp` does): it hashes
+        the repr of every layout entry, which costs more than a small
+        group's scans."""
+        layout = self._trs.layout
+        memo = self._fp_memo
+        if memo is None or memo[0] is not layout:
+            memo = self._fp_memo = (layout, plan_fingerprint(self.dataset, layout))
+        return memo[1]
+
+    def _matrices(self):
+        if self._mats is None:
+            self._mats = dissimilarity_matrices(self.dataset, self.name)
+        return self._mats
 
     def _resolve_backend(self) -> str:
         """The concrete tier for this run: ``python``, ``numpy``, or
@@ -183,11 +205,7 @@ class SharedScanTRS:
         self.prepare()
         backend = self._resolve_backend()
         tables = self._trs._tables()
-        mats = (
-            dissimilarity_matrices(self.dataset, self.name)
-            if backend != "python"
-            else None
-        )
+        mats = self._matrices() if backend != "python" else None
         m = self.dataset.num_attributes
         order = self.attribute_order
 
@@ -204,7 +222,7 @@ class SharedScanTRS:
     def _run_batch(
         self, disk, qs, backend, tables, mats, m, order
     ) -> MultiQueryResult:
-        data_file = disk.load_entries(self.dataset.schema, self._trs.layout, "data")
+        data_file = self._trs._stage_data(disk)
         stats = CostStats()
         pqc1 = [0] * len(qs)
         pqc2 = [0] * len(qs)
@@ -246,16 +264,9 @@ class SharedScanTRS:
         plan_key = plan = None
         if backend != "python":
             from repro.core.vector_trs import _Phase1Batch  # canonical bundle
-            from repro.kernels.plancache import (
-                PlanKey,
-                plan_cache,
-                plan_fingerprint,
-            )
 
             plan_key = PlanKey(
-                "phase1",
-                plan_fingerprint(self.dataset, self._trs.layout),
-                (self.budget.pages, self.page_bytes),
+                "phase1", self._plan_fp(), (self.budget.pages, self.page_bytes)
             )
             plan = plan_cache().get(plan_key)
         built: list = []
@@ -396,8 +407,6 @@ class SharedScanTRS:
             if batch:
                 process_batch(None)
             if plan_key is not None and built:
-                from repro.kernels.plancache import plan_cache
-
                 plan_cache().put(plan_key, built)
         for w in writers:
             w.close()

@@ -33,6 +33,7 @@ Pools
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,7 +45,13 @@ from repro.exec.merge import BatchReport, QueryError, merge_batch
 from repro.faults.retry import RetryPolicy
 from repro.obs import hooks as _obs
 
-__all__ = ["QuerySpec", "QueryExecutor", "as_spec", "planner_group_key"]
+__all__ = [
+    "QuerySpec",
+    "QueryExecutor",
+    "as_spec",
+    "planner_group_key",
+    "shared_scan_answer",
+]
 
 #: The only shared-scan family today. Group membership keys on the
 #: *scalar* family name (backends never change answers), so TRS and
@@ -132,6 +139,11 @@ class _JobOutcome:
     #: Worker-local :class:`~repro.obs.metrics.MetricsSnapshot` (process
     #: pool only; serial/thread jobs write the shared registry directly).
     metrics: object | None = None
+    #: Thread CPU seconds of the engine call (a group's whole shared scan
+    #: on its first member, like ``wall_s``). Unlike wall time it does
+    #: not count time spent waiting for the GIL or a core, so it is the
+    #: cost the resident service's micro-batcher compares paths by.
+    cpu_s: float = 0.0
 
 
 def _run_with_recovery(
@@ -154,8 +166,15 @@ def _run_with_recovery(
             try:
                 if injector is not None:
                     injector.query_fault(spec.query)
+                cpu0 = time.thread_time()
                 result, wall = engine._timed_execute(spec)
-                outcome = _JobOutcome(result, wall, None, attempts=attempt + 1)
+                outcome = _JobOutcome(
+                    result,
+                    wall,
+                    None,
+                    attempts=attempt + 1,
+                    cpu_s=time.thread_time() - cpu0,
+                )
             except TransientError as exc:
                 attempt += 1
                 if _obs.enabled:
@@ -358,10 +377,40 @@ def planner_group_key(engine, spec: QuerySpec):
     return (engine.layout_fingerprint(), _GROUP_FAMILY, backend)
 
 
+def _prepared_layout(engine, attribute_order):
+    """The layout an engine's prepared TRS-family instance already
+    sorted for ``attribute_order``, or ``None`` when it has none yet."""
+    from repro.core.trs import TRS
+    from repro.kernels import scalar_variant
+
+    for algo in list(engine._algorithms.values()):
+        if (
+            isinstance(algo, TRS)
+            and scalar_variant(algo.name) == _GROUP_FAMILY
+            and algo.presort
+            and algo.attribute_order == attribute_order
+            and algo._layout is not None
+        ):
+            return algo._layout
+    return None
+
+
+def shared_scan_answer(outcome) -> bool:
+    """Whether a fresh outcome was computed inside a shared-scan group
+    (group members that degraded to per-query recovery were not)."""
+    return (
+        outcome.error is None
+        and outcome.result is not None
+        and outcome.result.algorithm == "SharedScanTRS"
+    )
+
+
 def _shared_scan_for(engine, backend):
     """The engine's cached :class:`SharedScanTRS` for ``backend`` (one
-    per engine per backend — the layout sort and the plan-cache keys are
-    then paid once, whatever pool answers the groups)."""
+    per engine per backend). It adopts the layout the engine's prepared
+    TRS instance already sorted, and memoises its plan fingerprint,
+    matrices and staged pages, so each of those is paid once whatever
+    pool answers the groups."""
     from repro.core.multiquery import SharedScanTRS
 
     scans = engine.__dict__.get("_shared_scans")
@@ -381,12 +430,15 @@ def _shared_scan_for(engine, backend):
                     fault_injector=engine.fault_injector,
                     retry_policy=engine.retry_policy,
                 )
+                layout = _prepared_layout(engine, inst.attribute_order)
+                if layout is not None:
+                    inst.use_layout(layout)
                 inst.prepare()
                 scans[backend] = inst
     return inst
 
 
-def _group_outcomes(specs, mq, wall_s: float) -> list:
+def _group_outcomes(specs, mq, wall_s: float, cpu_s: float) -> list:
     """Split one :class:`MultiQueryResult` into per-query outcomes whose
     stats sum exactly to the shared run's stats.
 
@@ -422,7 +474,12 @@ def _group_outcomes(specs, mq, wall_s: float) -> list:
             backend=mq.backend,
         )
         outcomes.append(
-            _JobOutcome(result, wall_s if i == 0 else 0.0, None)
+            _JobOutcome(
+                result,
+                wall_s if i == 0 else 0.0,
+                None,
+                cpu_s=cpu_s if i == 0 else 0.0,
+            )
         )
     return outcomes
 
@@ -442,16 +499,18 @@ def _run_group(engine, specs, backend, injector, policy) -> list:
     try:
         attempt = 0
         mq = None
-        wall = 0.0
+        wall = cpu = 0.0
         while mq is None:
             try:
                 if injector is not None:
                     for spec in specs:
                         injector.query_fault(spec.query)
                 shared = _shared_scan_for(engine, backend)
+                cpu0 = time.thread_time()
                 with Stopwatch() as watch:
                     mq = shared.run_batch([s.query for s in specs])
                 wall = watch.elapsed_s
+                cpu = time.thread_time() - cpu0
             except TransientError as exc:
                 attempt += 1
                 if _obs.enabled:
@@ -464,7 +523,7 @@ def _run_group(engine, specs, backend, injector, policy) -> list:
                 break
         grouped = mq is not None
         if grouped:
-            outcomes = _group_outcomes(specs, mq, wall)
+            outcomes = _group_outcomes(specs, mq, wall, cpu)
         else:
             if _obs.enabled:
                 _obs.inc("repro_plan_fallbacks_total")
@@ -907,11 +966,7 @@ class QueryExecutor:
                 continue
             for j, oc in zip(idxs, out):
                 outcomes[j] = oc
-                if (
-                    oc.error is None
-                    and oc.result is not None
-                    and oc.result.algorithm == "SharedScanTRS"
-                ):
+                if shared_scan_answer(oc):
                     planned_jobs.add(j)
         return outcomes, planned_jobs
 

@@ -13,10 +13,11 @@ applications are standing workloads):
   *before* it queues: per-tenant token buckets plus a bounded admission
   queue, both failing with a typed
   :class:`~repro.errors.OverloadError` carrying ``retry_after_s``.
-- :class:`~repro.serve.batcher.MicroBatcher` coalesces compatible
-  in-flight queries over a small time/size window into the batch
-  planner's layout-fingerprint groups, so concurrent clients share
-  scans instead of queueing behind each other.
+- :class:`~repro.serve.batcher.MicroBatcher` collects in-flight
+  queries over a small time/size window and coalesces compatible ones
+  into the batch planner's layout-fingerprint groups (shared scans)
+  when its measured CPU costs say a group beats singles spread over
+  the pool.
 - :class:`~repro.serve.server.ServeServer` speaks a newline-delimited
   JSON protocol over TCP; :class:`~repro.serve.client.ServeClient` and
   :func:`~repro.serve.client.run_closed_loop` are the matching client

@@ -10,12 +10,27 @@ collected is partitioned by the planner's compatibility key
 (:func:`repro.exec.executor.planner_group_key` — layout fingerprint,
 algorithm family, backend) and dispatched.
 
-Groups of two or more compatible queries ride one shared
-:class:`~repro.core.multiquery.SharedScanTRS` scan, which is where
-the service's multi-client throughput comes from: N concurrent
-clients cost one scan, not N. Dispatch is fire-and-forget — the next
-window starts forming while the previous round executes, so the
-window bounds *added latency*, never throughput.
+Groups of two or more compatible queries may ride one shared
+:class:`~repro.core.multiquery.SharedScanTRS` scan. A shared scan
+saves database passes (page IOs), not traversal work: every member
+still pays its own pruning, and every member waits for the whole
+group. So a round coalesces only when the service's own measurements
+say the group finishes its k members no later than singles spread
+over the pool's W workers::
+
+    k * g <= ceil(k / W) * s
+
+where g is a group's thread CPU time per member and s a single's
+(:meth:`MicroBatcher.record_cost`; CPU time, because wall time counts
+waiting for the GIL or a core). An unmeasured group path coalesces;
+with the group measured but not the single, the round runs as singles.
+The path the rule turns down still runs at exponentially spaced
+decided rounds, on one request peeled off as a single or on a pair
+sent as a group, so one early sample cannot lock it out for good. The
+estimates reset when the service swaps its dataset. Dispatch is
+fire-and-forget — the next window starts forming while the previous
+round executes, so the window bounds *added latency*, never
+throughput.
 
 Deadline discipline: a request whose budget expired while queued is
 resolved with :class:`~repro.errors.DeadlineError` (``stage="queue"``)
@@ -35,12 +50,15 @@ are always singletons, so the window stays collapsed. Concurrency is
 still detected with a zero window because requests that land while a
 round executes queue up and are drained together at the next round —
 a multi-member round plus a sub-window EWMA re-opens the full window.
-The window cap never grows, so adaptivity only sheds latency.
+The window cap never grows, so adaptivity only sheds latency. In
+either mode the window also collapses to zero while the cost rule
+says a pair would not coalesce: waiting only pays for a group.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -63,6 +81,10 @@ class PendingQuery:
     tenant: str = "default"
     request_id: str = ""
     admitted_at: float = 0.0
+    #: The planner compatibility key the batcher found for ``spec``
+    #: (``None``: it can only run alone, so it never measures the single
+    #: path for the cost rule).
+    group_key: Any = None
 
     def resolve(self, result: Any) -> None:
         if not self.future.done():
@@ -82,9 +104,24 @@ class BatcherStats:
     singles: int = 0
     #: Queries whose deadline expired while queued (never executed).
     expired_in_queue: int = 0
-    #: Rounds the adaptive window collapsed to zero (sparse arrivals).
+    #: Rounds whose window collapsed to zero (sparse arrivals, or groups
+    #: the cost rule says would not pay).
     short_windows: int = 0
+    #: Rounds that sent two or more compatible requests out as singles
+    #: only (the cost rule, or a re-measurement of the single path).
+    split_rounds: int = 0
     group_sizes: list[int] = field(default_factory=list)
+
+
+@dataclass
+class _PathCost:
+    """Thread CPU time one execution path has spent, per query."""
+
+    cpu_s: float = 0.0
+    queries: int = 0
+
+    def estimate(self) -> float | None:
+        return self.cpu_s / self.queries if self.queries else None
 
 
 class MicroBatcher:
@@ -105,6 +142,8 @@ class MicroBatcher:
         Collapse the collection window to zero while the observed
         arrival rate is below one request per window (module
         docstring); ``window_s`` stays the upper bound either way.
+    workers:
+        The pool size W the cost rule spreads singles over.
     """
 
     #: EWMA smoothing for inter-arrival times: heavy enough that one
@@ -121,12 +160,14 @@ class MicroBatcher:
         dispatch: Callable[[Any, list[PendingQuery]], None],
         clock: Callable[[], float] | None = None,
         adaptive: bool = False,
+        workers: int = 1,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.window_s = max(0.0, window_s)
         self.max_batch = max_batch
         self.adaptive = adaptive
+        self.workers = max(1, workers)
         self._group_key = group_key
         self._dispatch = dispatch
         self._clock = clock
@@ -136,6 +177,7 @@ class MicroBatcher:
         self._ewma_interval: float | None = None
         self._last_round_size = 0
         self.stats = BatcherStats()
+        self.reset_costs()
 
     # -- lifecycle -------------------------------------------------
 
@@ -184,13 +226,68 @@ class MicroBatcher:
     def depth(self) -> int:
         return self._queue.qsize()
 
+    # -- the cost rule ---------------------------------------------
+
+    def reset_costs(self) -> None:
+        """Forget both path estimates and the re-measurement schedule
+        (the service calls this when it swaps its dataset)."""
+        self._single = _PathCost()
+        self._group = _PathCost()
+        #: Per path, the decided rounds that turned it down since it last
+        #: ran; past ``_probe_after`` (which doubles each time) it runs
+        #: once to be measured again.
+        self._idle_rounds = {"single": 0, "group": 0}
+        self._probe_after = 1
+
+    def record_cost(self, path: str, cpu_s: float, queries: int) -> None:
+        """Fold one executed payload into the estimate of ``path``
+        (``"single"`` or ``"group"``): ``cpu_s`` thread CPU seconds
+        spent answering ``queries`` requests."""
+        cost = self._group if path == "group" else self._single
+        cost.cpu_s += cpu_s
+        cost.queries += queries
+
+    def cost_estimates(self) -> tuple[float | None, float | None]:
+        """``(single, group per member)`` CPU seconds, ``None`` while
+        that path is unmeasured."""
+        return self._single.estimate(), self._group.estimate()
+
+    def _group_pays(self, k: int) -> bool:
+        """The rule: k compatible requests coalesce iff
+        ``k * g <= ceil(k / W) * s`` (module docstring)."""
+        s, g = self.cost_estimates()
+        if g is None:
+            return True
+        if s is None:
+            return False
+        return k * g <= math.ceil(k / self.workers) * s
+
+    def _group_size(self, k: int) -> int:
+        """How many of a round's k compatible requests ride one group;
+        the rest run as singles. The rule's verdict is all or none, but
+        a path it has turned down for exponentially many rounds in a row
+        is measured again, on the least it can run on: one request
+        peeled off as a single, or a pair sent as a group. A groupable
+        request that arrives alone runs the single path anyway."""
+        pays = self._group_pays(k)
+        if self._single.queries and self._group.queries:
+            idle = "single" if pays else "group"
+            self._idle_rounds[idle] += 1
+            if self._idle_rounds[idle] > self._probe_after:
+                self._probe_after *= 2
+                return k - 1 if pays else 2
+        return k if pays else 0
+
     def effective_window(self) -> float:
-        """The collection window the next round will use: the full
+        """The collection window the next round will use: zero while the
+        cost rule says a pair would not coalesce; otherwise the full
         ``window_s`` only when the arrival EWMA says a second request is
         likely to land inside it *and* the previous round proved there
         is concurrency to coalesce (module docstring). Before two
         arrivals there is no rate estimate — assume sparse (zero
         window), which is the latency-safe default."""
+        if not self._group_pays(2):
+            return 0.0
         if not self.adaptive:
             return self.window_s
         if self._ewma_interval is None or self._ewma_interval > self.window_s:
@@ -269,15 +366,21 @@ class MicroBatcher:
         groups: dict[Any, list[PendingQuery]] = {}
         singles: list[PendingQuery] = []
         for p in live:
-            key = self._group_key(p.spec)
+            key = p.group_key = self._group_key(p.spec)
             if key is None:
                 singles.append(p)
             else:
                 groups.setdefault(key, []).append(p)
+        split = False
         for key, members in groups.items():
-            if len(members) < 2:
+            n = self._group_size(len(members)) if len(members) >= 2 else 0
+            if n < 2:
+                split = split or len(members) >= 2
                 singles.extend(members)
                 continue
+            singles.extend(members[n:])
+            members = members[:n]
+            self._idle_rounds["group"] = 0
             self.stats.coalesced += len(members)
             self.stats.group_sizes.append(len(members))
             if _obs.enabled:
@@ -285,6 +388,10 @@ class MicroBatcher:
                 _obs.observe("repro_serve_group_size", len(members))
             wire = ("group", tuple(p.spec for p in members), key[2])
             self._dispatch(wire, members)
+        if split:
+            self.stats.split_rounds += 1
+        if any(p.group_key is not None for p in singles):
+            self._idle_rounds["single"] = 0
         for p in singles:
             self.stats.singles += 1
             self._dispatch(("single", p.spec), [p])

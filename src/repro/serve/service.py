@@ -56,6 +56,7 @@ from repro.exec.executor import (
     _run_group,
     _run_with_recovery,
     planner_group_key,
+    shared_scan_answer,
 )
 from repro.obs import hooks as _obs
 from repro.serve.admission import AdmissionController
@@ -71,6 +72,10 @@ class ExecutionFailed(ReproError):
     def __init__(self, query_error) -> None:
         super().__init__(query_error.describe())
         self.query_error = query_error
+
+
+def _ms(seconds: float | None) -> float | None:
+    return None if seconds is None else seconds * 1000.0
 
 
 def _worker_ident(delay_s: float) -> int:
@@ -174,6 +179,7 @@ class QueryService:
             group_key=lambda spec: planner_group_key(self.engine, spec),
             dispatch=self._dispatch,
             adaptive=self.config.adaptive_window,
+            workers=self.config.workers,
         )
         self._pool = None
         #: Bumped on every successful rebuild; payload tasks remember the
@@ -294,6 +300,8 @@ class QueryService:
         was_running = self._running
         if was_running:
             await self.stop()
+        # The path costs were measured on the old dataset's shape.
+        self._batcher.reset_costs()
         old = self.engine
         self.engine = ReverseSkylineEngine(
             dataset,
@@ -466,7 +474,7 @@ class QueryService:
                 self.stats.cache_hits += 1
                 if _obs.enabled:
                     _obs.inc("repro_serve_cache_hits_total")
-                return self._payload(hit, cached=True, wall_s=0.0)
+                return self._payload(hit, cached=True, planned=False, wall_s=0.0)
 
         deadline_s = (
             req.deadline_ms / 1000.0
@@ -514,14 +522,24 @@ class QueryService:
         finally:
             self._inflight -= 1
         self.stats.served += 1
-        return self._payload(outcome.result, cached=False, wall_s=wall_s)
+        return self._payload(
+            outcome.result,
+            cached=False,
+            planned=shared_scan_answer(outcome),
+            wall_s=wall_s,
+        )
 
-    def _payload(self, result, *, cached: bool, wall_s: float) -> dict:
+    def _payload(
+        self, result, *, cached: bool, planned: bool, wall_s: float
+    ) -> dict:
+        """One reply body. ``planned`` and ``cached`` say what happened to
+        *this* request: computed inside a shared-scan group, or served
+        from the result cache (a cached group answer is not planned)."""
         return {
             "records": list(result.record_ids),
             "algorithm": result.algorithm,
             "backend": getattr(result, "backend", None),
-            "planned": result.algorithm == "SharedScanTRS",
+            "planned": planned,
             "cached": cached,
             "wall_ms": wall_s * 1000.0,
         }
@@ -536,14 +554,18 @@ class QueryService:
         out["pool"] = self.config.pool
         out["workers"] = self.config.workers
         b = self._batcher.stats
+        single_cpu, group_cpu = self._batcher.cost_estimates()
         out["batcher"] = {
             "rounds": b.rounds,
             "coalesced": b.coalesced,
             "singles": b.singles,
             "expired_in_queue": b.expired_in_queue,
             "short_windows": b.short_windows,
+            "split_rounds": b.split_rounds,
             "effective_window_ms": self._batcher.effective_window() * 1000.0,
             "max_group": max(b.group_sizes, default=0),
+            "single_cpu_ms": _ms(single_cpu),
+            "group_cpu_ms_per_query": _ms(group_cpu),
         }
         out["latency"] = self.engine.latency_summary()
         from repro.kernels import fused as fused_kernels
@@ -630,8 +652,21 @@ class QueryService:
         if _obs.enabled:
             _obs.observe("repro_serve_payload_seconds", wall_s)
         outcomes = out if isinstance(out, list) else [out]
+        self._record_cost(wire, live, outcomes)
         for p, outcome in zip(live, outcomes):
             self._settle(p, outcome, wall_s)
+
+    def _record_cost(self, wire, live: list[PendingQuery], outcomes) -> None:
+        """Feed the batcher's cost rule: a group that ran as one shared
+        scan measures the group path, a groupable request that ran alone
+        measures the single path. Failures and groups that fell back to
+        per-member runs measure neither."""
+        if wire[0] == "group":
+            if all(shared_scan_answer(o) for o in outcomes):
+                cpu_s = sum(o.cpu_s for o in outcomes)
+                self._batcher.record_cost("group", cpu_s, len(outcomes))
+        elif live[0].group_key is not None and outcomes[0].error is None:
+            self._batcher.record_cost("single", outcomes[0].cpu_s, 1)
 
     def _settle(self, p: PendingQuery, outcome, wall_s: float) -> None:
         if outcome.error is not None:

@@ -931,3 +931,268 @@ class TestDrain:
         assert proc.returncode == 0, err
         assert "drained-clean" in out
         assert not glob.glob("/dev/shm/repro-shm-*")
+
+
+# -- the micro-batcher's cost rule -------------------------------------------
+
+_KEY = ("fingerprint", "TRS", "numpy")
+
+
+def _rule_batcher(window_s=0.01, workers=2, adaptive=False):
+    """A loop-free batcher whose every spec is compatible; dispatched
+    wires land in the returned list."""
+    from repro.serve.batcher import MicroBatcher
+
+    sent: list = []
+    batcher = MicroBatcher(
+        window_s=window_s,
+        max_batch=32,
+        group_key=lambda spec: _KEY,
+        dispatch=lambda wire, members: sent.append(wire),
+        clock=lambda: 0.0,
+        adaptive=adaptive,
+        workers=workers,
+    )
+    return batcher, sent
+
+
+def _round_of(batcher, k):
+    from repro.serve.batcher import PendingQuery
+
+    batcher._round(
+        [
+            PendingQuery(spec=("q", i), future=_DummyFuture(), deadline=None)
+            for i in range(k)
+        ]
+    )
+
+
+class TestCostRule:
+    """k compatible requests coalesce iff k*g <= ceil(k/W)*s, with g the
+    measured CPU cost per group member and s a single's."""
+
+    def test_round_of_three_splits_when_the_group_loses(self):
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.010, 1)
+        batcher.record_cost("group", 0.024, 3)  # g = 8 ms
+        # 3 * 8 > ceil(3/2) * 10, and a pair loses too (2 * 8 > 10).
+        assert batcher.effective_window() == 0.0
+        _round_of(batcher, 3)
+        assert sent == [("single", ("q", i)) for i in range(3)]
+        assert batcher.stats.split_rounds == 1
+        assert batcher.stats.coalesced == 0
+
+    def test_round_of_three_coalesces_when_the_group_pays(self):
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.010, 1)
+        batcher.record_cost("group", 0.012, 3)  # g = 4 ms
+        assert batcher.effective_window() == 0.01
+        _round_of(batcher, 3)
+        assert sent == [("group", tuple(("q", i) for i in range(3)), "numpy")]
+        assert batcher.stats.split_rounds == 0
+        assert batcher.stats.coalesced == 3
+
+    def test_pool_width_enters_the_rule(self):
+        # g = 8 ms against s = 10 ms: one worker runs singles back to
+        # back, so the group pays; two workers run them side by side.
+        for workers, grouped in ((1, True), (2, False)):
+            batcher, sent = _rule_batcher(workers=workers)
+            batcher.record_cost("single", 0.010, 1)
+            batcher.record_cost("group", 0.016, 2)
+            _round_of(batcher, 2)
+            assert (sent[0][0] == "group") is grouped
+
+    def test_unmeasured_paths(self):
+        # Nothing measured: coalesce, as the batcher always did.
+        batcher, sent = _rule_batcher()
+        assert batcher.effective_window() == 0.01
+        _round_of(batcher, 2)
+        assert [w[0] for w in sent] == ["group"]
+        # Only the single path measured: still coalesce, to measure g.
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.010, 1)
+        _round_of(batcher, 2)
+        assert [w[0] for w in sent] == ["group"]
+        # Only the group path measured: singles, to measure s.
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("group", 0.001, 2)
+        assert batcher.effective_window() == 0.0
+        _round_of(batcher, 2)
+        assert [w[0] for w in sent] == ["single", "single"]
+
+    def test_losing_group_path_is_measured_at_exponential_spacing(self):
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.010, 1)
+        batcher.record_cost("group", 0.030, 3)  # g = 10 ms: groups lose
+        probes = []
+        for r in range(1, 41):
+            sent.clear()
+            _round_of(batcher, 4)
+            groups = [w for w in sent if w[0] == "group"]
+            if groups:
+                # The least a group can run on: a pair; the rest singles.
+                assert [len(w[1]) for w in groups] == [2]
+                assert len(sent) == 3
+                probes.append(r)
+            else:
+                assert len(sent) == 4
+        assert probes == [2, 5, 10, 19, 36]
+
+    def test_losing_single_path_is_measured_unless_it_runs_anyway(self):
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.020, 1)
+        batcher.record_cost("group", 0.008, 2)  # g = 4 ms: groups win
+        peeled = []
+        for r in range(1, 11):
+            sent.clear()
+            _round_of(batcher, 4)
+            if any(w[0] == "single" for w in sent):
+                # One request peeled off as a single, the rest grouped.
+                assert sorted(w[0] for w in sent) == ["group", "single"]
+                peeled.append(r)
+        assert peeled == [2, 5, 10]
+        # A lone groupable request runs the single path by itself, which
+        # restarts the count towards the next re-measurement.
+        batcher, sent = _rule_batcher()
+        batcher.record_cost("single", 0.020, 1)
+        batcher.record_cost("group", 0.008, 2)
+        for _ in range(10):
+            _round_of(batcher, 1)
+            sent.clear()
+            _round_of(batcher, 4)
+            assert [w[0] for w in sent] == ["group"]
+
+    def test_estimates_are_cpu_seconds_per_query(self):
+        batcher, _ = _rule_batcher()
+        assert batcher.cost_estimates() == (None, None)
+        batcher.record_cost("single", 0.010, 1)
+        batcher.record_cost("single", 0.030, 1)
+        batcher.record_cost("group", 0.040, 4)
+        batcher.record_cost("group", 0.020, 1)
+        assert batcher.cost_estimates() == pytest.approx((0.020, 0.012))
+        batcher.reset_costs()
+        assert batcher.cost_estimates() == (None, None)
+
+
+def _query_request(query, request_id=""):
+    import json
+
+    return decode_request(
+        json.dumps({"op": "query", "query": list(query), "id": request_id})
+    )
+
+
+def _run_service(engine, config, body):
+    """Run ``body(service)`` against a started in-loop service."""
+    from repro.serve.service import QueryService
+
+    async def main():
+        svc = QueryService(engine, config)
+        await svc.start()
+        try:
+            return await body(svc)
+        finally:
+            await svc.stop()
+
+    return asyncio.run(main())
+
+
+class TestServedCosts:
+    def test_cached_group_answer_is_not_planned(self):
+        """``planned`` reports what happened to this request: a cache
+        hit for a query first answered inside a shared-scan group is
+        cached, not planned."""
+        oracle = _engine(200)
+
+        async def body(svc):
+            first = await asyncio.gather(
+                svc.submit(_query_request((0, 0, 0))),
+                svc.submit(_query_request((1, 2, 3))),
+            )
+            again = await svc.submit(_query_request((0, 0, 0)))
+            return first, again, svc.stats_payload()["batcher"]
+
+        first, again, batcher = _run_service(
+            _engine(200), ServiceConfig(pool="thread", workers=2), body
+        )
+        assert batcher["coalesced"] == 2
+        assert [r["planned"] for r in first] == [True, True]
+        assert [r["cached"] for r in first] == [False, False]
+        assert again["cached"] is True
+        assert again["planned"] is False
+        assert again["records"] == list(oracle.query((0, 0, 0)).record_ids)
+        # The group measured the group path's CPU cost per member.
+        assert batcher["group_cpu_ms_per_query"] > 0.0
+        assert batcher["single_cpu_ms"] is None
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_lone_request_measures_the_single_path(self, pool):
+        """Process-pool workers measure their own CPU time and ship it
+        home on the outcome."""
+
+        async def body(svc):
+            reply = await svc.submit(_query_request((0, 0, 0)))
+            return reply, svc.stats_payload()["batcher"]
+
+        reply, batcher = _run_service(
+            _engine(200), ServiceConfig(pool=pool, workers=1, cache=False), body
+        )
+        assert reply["planned"] is False
+        assert batcher["single_cpu_ms"] > 0.0
+        assert batcher["group_cpu_ms_per_query"] is None
+        assert batcher["split_rounds"] == 0
+
+    def test_swap_dataset_resets_both_estimates(self):
+        new_ds = synthetic_dataset(120, [4, 4], seed=11)
+
+        async def body(svc):
+            await svc.submit(_query_request((0, 0, 0)))
+            svc._batcher.record_cost("group", 0.004, 2)
+            before = svc.stats_payload()["batcher"]
+            await svc.swap_dataset(new_ds)
+            return before, svc.stats_payload()["batcher"]
+
+        before, after = _run_service(
+            _engine(200), ServiceConfig(pool="thread", cache=False), body
+        )
+        assert before["single_cpu_ms"] > 0.0
+        assert before["group_cpu_ms_per_query"] == pytest.approx(2.0)
+        assert after["single_cpu_ms"] is None
+        assert after["group_cpu_ms_per_query"] is None
+
+    def test_maintained_engine_rounds_never_coalesce(self):
+        """Maintained engines have no compatible requests: every round
+        goes out as singles, nothing is measured, and the window stays
+        exactly what the adaptive rule alone makes it."""
+        queries = [(i % 5, (i // 5) % 5, i % 4) for i in range(12)]
+
+        async def body(svc):
+            await svc.apply_updates(inserts=[(1, 1, 1)])
+            windows = []
+            for start in range(0, len(queries), 4):
+                await asyncio.gather(
+                    *(svc.submit(_query_request(q)) for q in queries[start:start + 4])
+                )
+                b = svc._batcher
+                adaptive_only = (
+                    b.window_s
+                    if b._ewma_interval is not None
+                    and b._ewma_interval <= b.window_s
+                    and b._last_round_size >= 2
+                    else 0.0
+                )
+                windows.append((b.effective_window(), adaptive_only))
+            return windows, svc.stats_payload()["batcher"]
+
+        windows, batcher = _run_service(
+            _maint_engine(),
+            ServiceConfig(pool="thread", workers=2, cache=False),
+            body,
+        )
+        assert all(got == want for got, want in windows)
+        assert any(got > 0.0 for got, _ in windows)
+        assert batcher["coalesced"] == 0
+        assert batcher["singles"] == len(queries)
+        assert batcher["split_rounds"] == 0
+        assert batcher["single_cpu_ms"] is None
+        assert batcher["group_cpu_ms_per_query"] is None
