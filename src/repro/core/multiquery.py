@@ -33,14 +33,12 @@ over every member query's survivor tree per page in phase 2 — a single
 kernel invocation per planner group instead of one per query.
 ``fused=False`` keeps the PR-4 per-query kernel loop (one sweep per
 (query, batch) / (query, page)), which the benchmarks use as the
-pre-fusion baseline; both produce identical numbers. On top of either
-array shape, ``backend="jit"`` (or ``auto`` escalation) swaps the
-numpy frontier sweeps for the optional compiled tier
-(:mod:`repro.kernels.jit`) when numba is importable, falling back to
-numpy silently otherwise. Results, batch structure and page IOs are
-bit-identical across all of it; ``checks_*`` follow each array shape's
-documented accounting (fused == per-query == jit by construction; only
-``python`` differs, by its early-abort granularity).
+pre-fusion baseline; both produce identical numbers. Groups of two or
+more queries sweep phase 1 on the kernel's ranked schedule (Algorithm
+4's promise order), in both shapes. Results, batch structure and page
+IOs are bit-identical across all of it; ``checks_*`` follow the array
+accounting (fused == per-query by construction; only ``python``
+differs, by its early-abort granularity).
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from repro.core.trs import (
 from repro.data.dataset import Dataset
 from repro.errors import AlgorithmError
 from repro.kernels import fused as fused_kernels
-from repro.kernels import jit as jit_kernels
 from repro.kernels.backend import normalize_backend, numpy_ready
 from repro.kernels.columnar import ColumnarALTree, dissimilarity_matrices
 from repro.kernels.frontier import (
@@ -91,8 +88,8 @@ class MultiQueryResult:
     stats: CostStats
     #: Attribute checks attributable to each query.
     per_query_checks: tuple[int, ...] = field(default=())
-    #: Concrete kernel tier that produced this batch (``python``,
-    #: ``numpy``, or ``jit`` when the compiled tier ran).
+    #: Concrete kernel tier that produced this batch (``python`` or
+    #: ``numpy``).
     backend: str = "python"
     #: Phase split of ``per_query_checks`` (same length; elementwise the
     #: two tuples sum to it). The batch planner uses the split to emit
@@ -112,8 +109,8 @@ class SharedScanTRS:
 
     Construction mirrors :class:`~repro.core.trs.TRS` (same layout step,
     same memory model); :meth:`run_batch` answers any number of queries.
-    ``backend`` selects the compute backend (``python``, ``numpy``,
-    ``jit`` or ``auto``; ``None`` keeps the scalar path). ``fused``
+    ``backend`` selects the compute backend (``python``, ``numpy`` or
+    ``auto``; ``None`` keeps the scalar path). ``fused``
     (default) routes the array backends through the fused multi-query
     kernels — one invocation per (phase, batch/page) for the whole
     group; ``fused=False`` keeps the per-query kernel loop.
@@ -183,18 +180,13 @@ class SharedScanTRS:
         return self._mats
 
     def _resolve_backend(self) -> str:
-        """The concrete tier for this run: ``python``, ``numpy``, or
-        ``jit`` (requested or ``auto``-escalated, and only when the
-        compiled tier is importable *and* the fused kernels are in use
-        — the legacy per-query shape has no compiled variant)."""
+        """The concrete tier for this run: ``python`` or ``numpy``."""
         if self.backend in (None, "python"):
             return "python"
         if self.backend == "numpy":
             return "numpy"  # unfit datasets rejected by dissimilarity_matrices
-        if self.backend == "jit":
-            return jit_kernels.effective_tier("jit") if self.fused else "numpy"
         if numpy_ready() and self.dataset.space.is_fully_categorical():
-            return jit_kernels.effective_tier("auto") if self.fused else "numpy"
+            return "numpy"
         return "python"
 
     def run_batch(self, queries: Sequence[tuple]) -> MultiQueryResult:
@@ -228,21 +220,16 @@ class SharedScanTRS:
         pqc2 = [0] * len(qs)
         started = time.perf_counter()
         fused = self.fused and backend != "python"
-        qarr = mats3 = None
+        # The ranked phase-1 schedule costs more numpy calls per sweep,
+        # which pays only when several queries share each sweep; a lone
+        # query keeps the root-first one, as VectorTRS singles do.
+        ranked = len(qs) >= 2
+        qarr = None
         if fused:
             qarr = np.asarray(qs, dtype=np.intp).reshape(len(qs), m)
-            if backend == "jit":
-                mats3 = fused_kernels.pad_matrices(mats)
             fused_kernels.note_fused_group()
-        if _obs.enabled:
-            if fused:
+            if _obs.enabled:
                 _obs.inc("repro_kernel_fused_groups_total", 1, tier=backend)
-            for tier_name in ("python", "numpy", "jit"):
-                _obs.set_gauge(
-                    "repro_kernel_backend_tier",
-                    1.0 if tier_name == backend else 0.0,
-                    tier=tier_name,
-                )
 
         # ---- phase 1: one pass, one tree per batch, k traversals/object --
         scratches = [
@@ -278,7 +265,7 @@ class SharedScanTRS:
                 b = len(pb.entries)
                 if fused:
                     survive, checks2d = fused_kernels.fused_phase1(
-                        pb, mats, order, qarr, tier=backend, mats3=mats3
+                        pb, mats, order, qarr
                     )
                     per_q = checks2d.sum(axis=0)
                     for qi in range(len(qs)):
@@ -307,6 +294,7 @@ class SharedScanTRS:
                                 qd[pb.rest],
                                 pb.rest_paths,
                                 leaf_mins=pb.leaf_mins,
+                                ranked=ranked,
                             )
                         total = int(checks.sum())
                         stats.checks_phase1 += total
@@ -461,8 +449,7 @@ class SharedScanTRS:
                 )
             elif fused:
                 self._phase2_round_fused(
-                    data_file, trees, qs, mats, order, results, stats,
-                    pqc2, backend, mats3,
+                    data_file, trees, qs, mats, order, results, stats, pqc2
                 )
             else:
                 self._phase2_round_numpy(
@@ -512,16 +499,15 @@ class SharedScanTRS:
 
     @staticmethod
     def _phase2_round_fused(
-        data_file, trees, qs, mats, order, results, stats, per_query_checks,
-        tier, mats3,
+        data_file, trees, qs, mats, order, results, stats, per_query_checks
     ) -> None:
         """One shared pass pruning *every* member tree per page: the
         round's trees are concatenated into a forest and each scanned
-        page runs one descent (numpy frontier or compiled DFS) instead
-        of one :func:`page_prune` per query. Decisions, IO and the
-        per-query check attribution are identical to the per-query
-        round — see :mod:`repro.kernels.fused`."""
-        with _obs.span("kernel.phase2", backend=tier) as span:
+        page runs one frontier descent instead of one
+        :func:`page_prune` per query. Decisions, IO and the per-query
+        check attribution are identical to the per-query round — see
+        :mod:`repro.kernels.fused`."""
+        with _obs.span("kernel.phase2", backend="numpy") as span:
             forest = fused_kernels.build_forest(
                 (qi, col, query_node_rows(col, mats, order, qs[qi]))
                 for qi, t in trees.items()
@@ -533,7 +519,7 @@ class SharedScanTRS:
                 e_ids = np.asarray([rid for rid, _ in dpage], dtype=np.intp)
                 e_vals = np.asarray([v for _, v in dpage], dtype=np.intp)
                 pq = fused_kernels.fused_page_prune(
-                    forest, mats, order, e_ids, e_vals, tier=tier, mats3=mats3
+                    forest, mats, order, e_ids, e_vals
                 )
                 stats.checks_phase2 += int(pq.sum())
                 for j, qi in enumerate(forest.qis):

@@ -22,9 +22,11 @@ traversals:
 
 Results and page-IO counts are bit-identical to TRS; ``checks_*``
 follow the frontier accounting documented in ``docs/performance.md``
-(no early abort, no promising-subtree order ⇒ at least the scalar
-counts). ``tests/test_kernels.py`` enforces the equivalence
-differentially on randomized non-metric workloads.
+(a sweep finishes each chunk it starts where the scalar search stops at
+its first pruner leaf, and probes a collapsed leaf level once; the
+counts can land on either side of the scalar ones).
+``tests/test_kernels.py`` enforces the equivalence differentially on
+randomized non-metric workloads.
 """
 
 from __future__ import annotations
@@ -299,9 +301,11 @@ class VectorTRS(TRS):
                         stats.per_object_phase1[c_id] = (
                             stats.per_object_phase1.get(c_id, 0) + int(c_checks)
                         )
-                for (c_id, c), is_pruned in zip(pb.entries, prunable):
-                    if not is_pruned:
-                        writer.append(c_id, c)
+                # Walk the survivors only, in batch order (the scalar
+                # append order, so scratch pages and IO are unchanged).
+                for bi in np.flatnonzero(~prunable):
+                    c_id, c = pb.entries[bi]
+                    writer.append(c_id, c)
                 stats.phase1_batches += 1
                 span.annotate("candidates", b)
                 span.annotate("nodes", sum(int(k.size) for k in pb.col.keys))

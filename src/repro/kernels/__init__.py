@@ -12,19 +12,15 @@ structures, selected through a small backend registry:
   column-block pair gathers; shared-scan groups additionally run the
   *fused* multi-query kernels (:mod:`repro.kernels.fused`) — one
   stacked sweep per batch/page for the whole group.
-- ``jit``    — the numpy classes with the fused shared-scan loops
-  compiled by :mod:`repro.kernels.jit` (optional numba; silently
-  degrades to ``numpy`` when absent — identical numbers either way).
 - ``auto``   — ``numpy`` whenever a vectorised variant exists and the
   dataset qualifies (fully categorical, numpy importable; shape-gated
   variants additionally need their workload predicate to accept), else
-  ``python``; shared scans escalate to ``jit`` when compiled.
+  ``python``.
 
 Vectorised variants are **bit-identical** to their scalar counterparts in
 result membership, batch structure, database passes and page-IO counts;
 only the ``checks_*`` accounting differs (frontier/column-block
-granularity — see ``docs/performance.md``). The ``jit`` tier is
-bit-identical to ``numpy`` in *everything*, checks included.
+granularity — see ``docs/performance.md``).
 """
 
 from __future__ import annotations

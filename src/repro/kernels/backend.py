@@ -29,10 +29,7 @@ __all__ = [
 ]
 
 #: The backend names every ``--backend`` / ``backend=`` site accepts.
-#: ``jit`` selects the numpy algorithm classes but escalates the fused
-#: shared-scan kernels to compiled loops when :mod:`repro.kernels.jit`
-#: reports numba importable (graceful numpy fallback otherwise).
-BACKENDS = ("python", "numpy", "jit", "auto")
+BACKENDS = ("python", "numpy", "auto")
 
 #: scalar algorithm name -> numpy-variant algorithm name.
 _VECTOR_OF: dict[str, str] = {}
@@ -119,9 +116,6 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
       back to their scalar counterparts).
     - ``numpy``    — the vector variant; an explicit request for an
       algorithm with no vectorised implementation is an error.
-    - ``jit``      — the vector variant too: algorithm *classes* are
-      shared between the numpy and jit tiers; the tier split happens
-      inside the fused shared-scan kernels (:mod:`repro.kernels.jit`).
     - ``auto``     — the vector variant when one exists, numpy imports,
       ``dataset`` (when given) is fully categorical, and the variant is
       either unconditionally auto-eligible or its shape predicate
@@ -133,7 +127,7 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
     if backend == "python":
         return scalar_variant(name)
     vector = vector_variant(name)
-    if backend in ("numpy", "jit"):
+    if backend == "numpy":
         if vector is None:
             raise AlgorithmError(
                 f"algorithm {name!r} has no {backend} backend; "

@@ -21,6 +21,9 @@ contiguous slice of the next level):
   the index of its leaf in the last level; ``leaf_start``/``leaf_count``
   give each leaf's contiguous entry slice.
 
+:meth:`ColumnarALTree.promise_spans` adds Algorithm 4's visit order on
+top of this layout, computed on first use and kept with the flattening.
+
 Flattening costs one BFS over the tree (``O(nodes + objects)``) — paid
 once per batch, amortised over every traversal the batch serves.
 """
@@ -77,6 +80,7 @@ class ColumnarALTree:
         "entry_leaf",
         "num_objects",
         "_leaf_index",
+        "_spans",
     )
 
     def __init__(self) -> None:
@@ -92,6 +96,7 @@ class ColumnarALTree:
         self.entry_leaf = np.zeros(0, dtype=np.intp)
         self.num_objects = 0
         self._leaf_index: dict[int, int] = {}
+        self._spans: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     @classmethod
     def from_arrays(
@@ -186,6 +191,54 @@ class ColumnarALTree:
             dtype=np.intp,
             count=len(leaf_nodes),
         )
+
+    def promise_spans(self, last: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Algorithm 4's visit order over the nodes of level ``last``.
+
+        The level-``last`` nodes are ranked in the order the scalar
+        :func:`~repro.core.trs.is_prunable` stack reaches them: most
+        descendants first at every level, ties in stack-pop order (the
+        later child first). That is a pre-order numbering, so every
+        subtree holds one contiguous run of ranks. Returns ``(lo, hi)``:
+        for each level ``l <= last``, node ``u``'s subtree holds the ranks
+        ``[lo[l][u], hi[l][u])``.
+
+        The ranks use built-time descendant counts only, so they depend
+        on the tree alone: computed once per flattening, on first use.
+        """
+        spans = self._spans.get(last)
+        if spans is not None:
+            return spans
+        # Level-``last`` nodes under each node, bottom-up.
+        size = [np.ones(self.keys[last].size, dtype=np.int64)]
+        for level in range(last, 0, -1):
+            size.append(
+                np.bincount(
+                    self.parent[level],
+                    weights=size[-1],
+                    minlength=self.keys[level - 1].size,
+                ).astype(np.int64)
+            )
+        size.reverse()
+        lo: list[np.ndarray] = []
+        for level in range(last + 1):
+            n = self.keys[level].size
+            idx = np.arange(n)
+            # Siblings grouped under their parent, each group in pop order:
+            # most descendants first, then the later child first.
+            pop = np.lexsort((-idx, -self.desc[level], self.parent[level]))
+            before = np.cumsum(size[level][pop]) - size[level][pop]
+            first = np.empty(n, dtype=np.int64)
+            if level == 0:
+                first[pop] = before
+            else:
+                parents = self.parent[level][pop]
+                group = self.child_start[level - 1][parents]
+                first[pop] = lo[level - 1][parents] + before - before[group]
+            lo.append(first)
+        spans = (lo, [a + b for a, b in zip(lo, size)])
+        self._spans[last] = spans
+        return spans
 
     def live_descendants(self, alive: np.ndarray) -> list[np.ndarray]:
         """Per-level live-descendant counts given an entry ``alive`` mask

@@ -13,11 +13,13 @@ while ``d <= d_q``), the ``FoundCloser`` strictness flag, soft-removed
 self paths and record-identity exclusion are all reproduced. What
 changes is the *order* of work, and therefore the ``checks_*``
 accounting: the scalar code visits promising subtrees first and aborts
-at the first pruner leaf, while a frontier sweep finishes each level it
+at the first pruner leaf, while a frontier sweep finishes each chunk it
 starts. Checks are counted at (traversal, live-child) granularity — the
-array analogue of Algorithm 4's line-9 counter — so vectorised runs
-report *at least* as many checks as scalar runs (see
-``docs/performance.md`` for the accounting contract).
+array analogue of Algorithm 4's line-9 counter — and land on either side
+of the scalar counts: a root-first phase-1 sweep finishes the whole
+largest root, while the ranked schedule stops a row after the small
+rank range that prunes it and a collapsed leaf level costs one probe
+(see ``docs/performance.md`` for the accounting contract).
 
 Gather caching: everything that depends only on (query, batch) is
 computed once and passed in — :func:`query_distances` (phase 1's ``qd``
@@ -136,6 +138,24 @@ def _expand(
     return children, tuple(np.repeat(c, counts) for c in companions)
 
 
+def _schedule(col: ColumnarALTree, last: int, ranked: bool):
+    """The chunks one :func:`batch_is_prunable` sweep runs, in order:
+    ``(roots, window)`` pairs, ``window`` being ``None`` or the rank range
+    ``(lo, hi, a, b)`` that restricts the chunk (see
+    :meth:`ColumnarALTree.promise_spans`)."""
+    if not ranked:
+        roots = np.argsort(-col.desc[0], kind="stable").astype(np.intp)
+        yield roots[:1], None
+        yield roots[1:], None
+        return
+    lo, hi = col.promise_spans(last)
+    total = col.keys[last].size
+    a, b = 0, 1
+    while a < total:
+        yield np.flatnonzero((lo[0] < b) & (hi[0] > a)), (lo, hi, a, b)
+        a, b = b, min(2 * b, total)  # sizes 1, 1, 2, 4, ...
+
+
 def batch_is_prunable(
     col: ColumnarALTree,
     mats: list[np.ndarray],
@@ -144,6 +164,8 @@ def batch_is_prunable(
     qd: np.ndarray,
     self_paths: np.ndarray,
     leaf_mins: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    ranked: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 4 for a whole candidate batch at once.
 
@@ -155,17 +177,29 @@ def batch_is_prunable(
     Returns ``(prunable, checks)``: boolean and per-candidate check-count
     arrays of length ``B``.
 
-    The sweep is chunked by *root subtree*, most-promising first — the
-    largest root (by descendant count, the array analogue of Algorithm
-    4's guided search) runs alone, then the remaining roots together:
-    candidates the big subtree proves prunable (in practice nearly all)
-    never pay for the rest, while the tail chunk amortises the per-level
-    numpy dispatch over every leftover root at once. With ``leaf_mins``
-    (from :func:`leaf_min_tables`) the leaf level — the widest frontier
-    — is never expanded at all: reaching a pruner leaf reduces to a
-    lookup in the collapsed min-distance tables. Together these recover
-    most of the scalar early-abort saving while keeping every step a
-    whole-frontier array operation.
+    The sweep runs in chunks, and a row leaves as soon as a chunk proves
+    it prunable. With ``leaf_mins`` (from :func:`leaf_min_tables`) the
+    leaf level — the widest frontier — is never expanded at all:
+    reaching a pruner leaf reduces to a lookup in the collapsed
+    min-distance tables. Two chunk schedules:
+
+    - root-first (default): the largest root (by descendant count) runs
+      alone, then the remaining roots together. Candidates the big
+      subtree proves prunable never pay for the rest, while the tail
+      chunk amortises the per-level numpy dispatch over every leftover
+      root at once.
+    - ``ranked``: the last swept level's nodes (the leaf parents, or
+      the leaves without ``leaf_mins``) in Algorithm 4's visit order
+      (:meth:`ColumnarALTree.promise_spans`), over rank ranges of
+      doubling size 1, 1, 2, 4, …; each level carries only the nodes
+      whose subtree overlaps the range. Rows the most promising path
+      prunes pay one check per level, as in the scalar guided search,
+      instead of the whole largest root. More chunks mean more numpy
+      calls, which pays off on stacked group sweeps.
+
+    Both schedules reach the same decisions. Each row is decided and
+    counted on its own under either, so splitting the rows over several
+    calls changes no row's result or check count.
     """
     B = cand_vals.shape[0]
     prunable = np.zeros(B, dtype=bool)
@@ -177,8 +211,7 @@ def batch_is_prunable(
     last = m - 2 if collapse else m - 1
     i_leaf = order[m - 1]
     undecided = np.arange(B, dtype=np.intp)
-    roots = np.argsort(-col.desc[0], kind="stable").astype(np.intp)
-    for chunk in (roots[:1], roots[1:]):
+    for chunk, window in _schedule(col, last, ranked):
         if undecided.size == 0 or chunk.size == 0:
             break
         cand_idx = np.tile(undecided, chunk.size)
@@ -226,6 +259,14 @@ def batch_is_prunable(
             node_idx, (cand_idx, found_closer) = _expand(
                 col, level, node_idx, cand_idx, found_closer
             )
+            if window is not None:
+                lo, hi, a, b = window
+                inside = (lo[level + 1][node_idx] < b) & (
+                    hi[level + 1][node_idx] > a
+                )
+                node_idx = node_idx[inside]
+                cand_idx = cand_idx[inside]
+                found_closer = found_closer[inside]
         undecided = undecided[~prunable[undecided]]
     return prunable, checks
 

@@ -1,14 +1,11 @@
-"""Fused multi-query kernels and the optional JIT tier.
+"""Fused multi-query kernels.
 
 The fused tier promises the same contract as every other backend — the
 per-query kernel loop, the scalar path and the fused path must agree on
 results, batch structure and page IOs — plus one stronger guarantee of
 its own: fused and per-query *numpy* runs produce identical
 ``per_query_checks`` decompositions (the stacked/forest kernels count
-exactly what the solo kernels count). The jit tier is stronger still:
-bit-identical to numpy in *everything*, checks included, whether the
-kernels run compiled (numba present) or interpreted (the common case in
-CI, and what these tests pin).
+exactly what the solo kernels count).
 """
 
 from __future__ import annotations
@@ -18,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import multiquery, vector_trs
 from repro.core.multiquery import SharedScanTRS
 from repro.data.dataset import Dataset
 from repro.data.queries import query_batch
@@ -28,8 +26,8 @@ from repro.dissim.generators import (
     random_dissimilarity,
 )
 from repro.dissim.space import DissimilaritySpace
+from repro.kernels import frontier
 from repro.kernels import fused as fused_kernels
-from repro.kernels import jit as jit_kernels
 from repro.storage.disk import MemoryBudget
 from repro.testing.verify import random_workload
 
@@ -82,37 +80,6 @@ def assert_batches_identical(got, ref, label="", checks=True):
         assert got.stats.checks == ref.stats.checks, label
 
 
-@pytest.fixture
-def interpreted_jit(monkeypatch):
-    """Force the jit tier 'ready' with the *interpreted* kernels — the
-    exact code numba would compile, minus numba. Lets every jit code
-    path (flattening, padded matrices, forest DFS, removal hand-off)
-    run in environments without the optional dependency."""
-    monkeypatch.setitem(jit_kernels._state, "phase", "ready")
-    monkeypatch.setitem(
-        jit_kernels._state,
-        "kernels",
-        {
-            "phase1": jit_kernels.phase1_descend,
-            "phase2": jit_kernels.phase2_descend,
-        },
-    )
-    yield
-
-
-@pytest.fixture
-def absent_numba(monkeypatch):
-    """Simulate the optional dependency being uninstalled."""
-
-    def _raise():
-        raise ImportError("No module named 'numba'")
-
-    jit_kernels.reset()
-    monkeypatch.setattr(jit_kernels, "_import_numba", _raise)
-    yield
-    jit_kernels.reset()
-
-
 # --- fused vs per-query vs scalar --------------------------------------------
 
 
@@ -141,6 +108,29 @@ class TestFusedDifferential:
             per_q = _run(ds, qs, 3, 256, backend="numpy", fused=False)
             fus = _run(ds, qs, 3, 256, backend="numpy")
             assert_batches_identical(fus, per_q, f"group size {size}")
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_schedule_follows_group_size(self, monkeypatch, fused):
+        """Phase-1 sweeps serving two or more queries run the ranked
+        schedule, in both shapes; a group of one and a VectorTRS single
+        keep root-first."""
+        seen = []
+        real = frontier.batch_is_prunable
+
+        def spy(*args, ranked=False, **kw):
+            seen.append(ranked)
+            return real(*args, ranked=ranked, **kw)
+
+        for module in (fused_kernels, multiquery, vector_trs):
+            monkeypatch.setattr(module, "batch_is_prunable", spy)
+        ds = synthetic_dataset(120, [5, 5], seed=21)
+        qs = query_batch(ds, 3, seed=5)
+        _run(ds, qs, 2, 256, backend="numpy", fused=fused)
+        assert seen and all(seen)
+        seen.clear()
+        _run(ds, qs[:1], 2, 256, backend="numpy", fused=fused)
+        vector_trs.VectorTRS(ds, budget=MemoryBudget(2)).run(qs[0])
+        assert seen and not any(seen)
 
     def test_fused_group_counter_increments(self):
         ds = synthetic_dataset(120, [5, 5], seed=21)
@@ -195,79 +185,3 @@ def test_property_fused_matches_scalar_contract(case):
     py = _run(ds, qs, budget_pages, page_bytes, backend="python")
     fus = _run(ds, qs, budget_pages, page_bytes, backend="numpy")
     assert_batches_identical(fus, py, checks=False)
-
-
-# --- jit tier -----------------------------------------------------------------
-
-
-class TestJitTier:
-    def test_interpreted_jit_bit_identical_to_numpy(self, interpreted_jit):
-        """The jit kernels (run interpreted) must equal the numpy tier in
-        everything, including the per-query checks decomposition."""
-        for t in range(12):
-            case = random_workload(7400 + t)
-            size = GROUP_SIZES[t % len(GROUP_SIZES)]
-            qs = [case.query] + query_batch(case.dataset, size - 1, seed=t)
-            kw = dict(budget_pages=case.budget_pages, page_bytes=case.page_bytes)
-            vec = _run(case.dataset, qs, backend="numpy", **kw)
-            jit = _run(case.dataset, qs, backend="jit", **kw)
-            assert jit.backend == "jit", case.describe()
-            assert_batches_identical(jit, vec, case.describe())
-
-    @pytest.mark.smoke
-    def test_jit_falls_back_cleanly_without_numba(self, absent_numba):
-        ds = synthetic_dataset(200, [6, 5], seed=42)
-        qs = query_batch(ds, 3, seed=1)
-        assert not jit_kernels.jit_ready()
-        status = jit_kernels.status()
-        assert status["phase"] == "fallback"
-        assert "ImportError" in status["reason"]
-        # backend="jit" still runs — on the numpy tier, same numbers.
-        jit = _run(ds, qs, 2, 256, backend="jit")
-        vec = _run(ds, qs, 2, 256, backend="numpy")
-        assert jit.backend == "numpy"
-        assert_batches_identical(jit, vec)
-
-    def test_auto_escalates_only_when_ready(self, absent_numba):
-        ds = synthetic_dataset(120, [5, 5], seed=21)
-        qs = query_batch(ds, 2, seed=5)
-        assert jit_kernels.effective_tier("auto") == "numpy"
-        assert _run(ds, qs, 2, 256, backend="auto").backend == "numpy"
-
-    def test_effective_tier_table(self, interpreted_jit):
-        assert jit_kernels.effective_tier("jit") == "jit"
-        assert jit_kernels.effective_tier("auto") == "jit"
-        assert jit_kernels.effective_tier("numpy") == "numpy"
-        assert jit_kernels.effective_tier("python") == "numpy"
-
-    def test_selfcheck_rejects_broken_compilation(self):
-        """A 'compiler' that mangles the phase-1 kernel must be caught by
-        the self-check and demoted to fallback, never trusted."""
-
-        def broken_phase1(*args):
-            pass  # decides nothing, counts nothing
-
-        class _FakeNumba:
-            @staticmethod
-            def njit(**kw):
-                def deco(fn):
-                    if fn is jit_kernels.phase1_descend:
-                        return broken_phase1
-                    return fn
-
-                return deco
-
-        jit_kernels.reset()
-        try:
-            real_import = jit_kernels._import_numba
-            jit_kernels._import_numba = lambda: _FakeNumba()
-            assert not jit_kernels.jit_ready()
-            assert jit_kernels.status()["phase"] == "fallback"
-            assert "self-check" in jit_kernels.status()["reason"]
-        finally:
-            jit_kernels._import_numba = real_import
-            jit_kernels.reset()
-
-    def test_compile_seconds_recorded(self, absent_numba):
-        assert not jit_kernels.jit_ready()
-        assert jit_kernels.compile_seconds() >= 0.0

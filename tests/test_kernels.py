@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.altree.tree import ALTree
 from repro.core.multiquery import SharedScanTRS
 from repro.core.registry import make_algorithm
-from repro.core.trs import TRS
+from repro.core.trs import TRS, is_prunable
 from repro.core.vector_trs import VectorTRS
 from repro.core.vectorized import VectorBRS
 from repro.data.dataset import Dataset
@@ -28,12 +29,16 @@ from repro.dissim.generators import nonmetric_dissimilarity, random_dissimilarit
 from repro.dissim.space import DissimilaritySpace
 from repro.errors import AlgorithmError
 from repro.kernels import (
+    ColumnarALTree,
     available_backends,
+    batch_is_prunable,
+    candidate_paths,
     normalize_backend,
     resolve_algorithm,
     scalar_variant,
     vector_variant,
 )
+from repro.kernels.frontier import leaf_min_tables
 from repro.skyline.oracle import reverse_skyline_by_pruners
 from repro.storage.disk import MemoryBudget
 from repro.testing.verify import random_workload, verify_algorithm
@@ -208,17 +213,8 @@ class TestBackendDispatch:
             normalize_backend("cuda")
 
     def test_available_backends(self):
-        assert available_backends("TRS") == ("python", "numpy", "jit", "auto")
+        assert available_backends("TRS") == ("python", "numpy", "auto")
         assert available_backends("NaiveRS") == ("python", "auto")
-
-    def test_jit_backend_resolves_to_vector_variant(self):
-        # The jit tier shares the numpy algorithm classes; the tier
-        # split happens inside the fused shared-scan kernels. Requesting
-        # jit for a scalar-only algorithm is an error like numpy.
-        assert resolve_algorithm("TRS", "jit") == "VectorTRS"
-        assert resolve_algorithm("BRS", "jit") == "VectorBRS"
-        with pytest.raises(AlgorithmError, match="no jit backend"):
-            resolve_algorithm("NaiveRS", "jit")
 
     def test_auto_upgrades_categorical(self):
         ds = synthetic_dataset(50, [4, 4], seed=1)
@@ -247,7 +243,7 @@ class TestBackendDispatch:
         assert resolve_algorithm("BRS", "numpy", wide) == "VectorBRS"
         # With no dataset in hand the shape is unknown: stay scalar.
         assert resolve_algorithm("BRS", "auto", None) == "BRS"
-        assert available_backends("BRS") == ("python", "numpy", "jit", "auto")
+        assert available_backends("BRS") == ("python", "numpy", "auto")
 
     def test_auto_falls_back_on_mixed_schema(self):
         ds = mixed_dataset(30, [4], [(0.0, 1.0)], seed=2)
@@ -317,8 +313,7 @@ class TestSharedScanBackends:
         ds = synthetic_dataset(120, [5, 5], seed=21)
         qs = query_batch(ds, 2, seed=5)
         auto = SharedScanTRS(ds, backend="auto", budget=MemoryBudget(2))
-        # auto resolves to numpy, escalating to jit when numba compiled.
-        assert auto.run_batch(qs).backend in ("numpy", "jit")
+        assert auto.run_batch(qs).backend == "numpy"
         mixed = mixed_dataset(40, [4], [(0.0, 1.0)], seed=2)
         with pytest.raises(AlgorithmError):
             # Mixed schemas stay on TRS semantics: SharedScanTRS reuses TRS,
@@ -331,3 +326,130 @@ class TestSharedScanBackends:
         ds = synthetic_dataset(20, [4, 4], seed=1)
         with pytest.raises(AlgorithmError, match="unknown backend"):
             SharedScanTRS(ds, backend="gpu")
+
+
+# --- phase-1 sweep schedules --------------------------------------------------
+
+
+def _flatten(records, order):
+    tree = ALTree(order)
+    leaves = [tree.insert(rid, values) for rid, values in enumerate(records)]
+    col = ColumnarALTree.from_tree(tree)
+    return tree, leaves, col
+
+
+class TestRankedSchedule:
+    def test_top_ranked_leaf_parent_stops_every_row(self):
+        """Root 0 holds the most objects and its child 0 the most under
+        it, so the leaf parent (0, 0) ranks first; its leaves carry every
+        value of the last attribute. With all off-diagonal distances 1
+        and a query that differs from each candidate everywhere, that
+        leaf parent prunes every row. The ranked sweep must stop each
+        row there: one check per swept level plus one leaf probe. The
+        root-first sweep pays for every passing node of root 0."""
+        unit = np.ones((3, 3)) - np.eye(3)
+        mats = [unit, unit, unit]
+        order = [0, 1, 2]
+        records = [(0, 0, v) for v in range(3) for _ in range(3)]
+        records += [(0, 1, 0), (1, 0, 0), (1, 1, 1), (2, 2, 2)]
+        _, _, col = _flatten(records, order)
+        leaf_mins = leaf_min_tables(col, mats, order)
+        lo, _ = col.promise_spans(1)
+        top = int(np.flatnonzero(lo[1] == 0)[0])
+        assert (col.keys[0][col.parent[1][top]], col.keys[1][top]) == (0, 0)
+        # Stacked rows: every value tuple under two queries, each one
+        # shifted off the candidate on every attribute (by 1, then by 2).
+        cands = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        vals = np.repeat(np.asarray(cands, dtype=np.intp), 2, axis=0)
+        shift = 1 + np.arange(vals.shape[0]) % 2
+        queries = (vals + shift[:, None]) % 3
+        qd = np.column_stack(
+            [mats[i][vals[:, i], queries[:, i]] for i in range(3)]
+        )
+        assert (qd == 1.0).all()
+        self_paths = np.full(vals.shape, -1, dtype=np.intp)  # not in the tree
+        args = (col, mats, order, vals, qd, self_paths, leaf_mins)
+        prunable, checks = batch_is_prunable(*args, ranked=True)
+        assert prunable.all()
+        m = len(order)
+        assert (checks == (m - 1) + 1).all()
+        root_first, rf_checks = batch_is_prunable(*args)
+        assert root_first.all()
+        assert (rf_checks > checks).all()
+
+
+@st.composite
+def schedule_case(draw):
+    m = draw(st.integers(1, 4))
+    cards = [draw(st.integers(3, 5)) for _ in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mats = [
+        np.asarray(
+            nonmetric_dissimilarity(c, rng).matrix
+            if draw(st.booleans())
+            else random_dissimilarity(c, rng, symmetric=draw(st.booleans())).matrix
+        )
+        for c in cards
+    ]
+    order = draw(st.permutations(range(m)))
+    n = draw(st.integers(1, 60))
+    records = [tuple(int(rng.integers(0, c)) for c in cards) for _ in range(n)]
+    nrows = draw(st.integers(1, 40))
+    # A row is a tree record alone in its leaf, (record id, values) —
+    # records sharing a leaf take the duplicate fast path, never the
+    # kernel — or an outside value tuple, (None, values).
+    alone = [r for r in range(n) if records.count(records[r]) == 1]
+    rows = []
+    for _ in range(nrows):
+        if alone and rng.random() < 0.7:
+            rid = alone[int(rng.integers(0, len(alone)))]
+            rows.append((rid, records[rid]))
+        else:
+            rows.append((None, tuple(int(rng.integers(0, c)) for c in cards)))
+    queries = [tuple(int(rng.integers(0, c)) for c in cards) for _ in range(nrows)]
+    split = draw(st.integers(0, nrows))
+    collapse = draw(st.booleans())
+    return mats, list(order), records, rows, queries, split, collapse
+
+
+@given(schedule_case())
+@settings(max_examples=60, deadline=None)
+def test_property_ranked_schedule_matches_root_first(case):
+    """Stacked rows over random non-metric trees: both schedules decide
+    every row as the scalar Algorithm 4 does, and a row's checks do not
+    depend on which other rows share the call."""
+    mats, order, records, rows, queries, split, collapse = case
+    tree, leaves, col = _flatten(records, order)
+    m = len(mats)
+    vals = np.asarray([values for _, values in rows], dtype=np.intp)
+    qd = np.column_stack(
+        [mats[i][vals[:, i], [q[i] for q in queries]] for i in range(m)]
+    )
+    paths = np.full((len(rows), m), -1, dtype=np.intp)  # outside: no self
+    own = [j for j, (rid, _) in enumerate(rows) if rid is not None]
+    if own:
+        paths[own] = candidate_paths(
+            col, col.leaf_indices_for([leaves[rows[j][0]] for j in own])
+        )
+    leaf_mins = leaf_min_tables(col, mats, order) if collapse else None
+    # The scalar decision, with a tree record's own entry soft-removed.
+    expected = []
+    for (rid, _), c, q in zip(rows, vals.tolist(), queries):
+        entry = tree.soft_remove(leaves[rid], rid) if rid is not None else None
+        want, _ = is_prunable(tree, c, [mats[i][c[i], q[i]] for i in range(m)], mats)
+        if entry is not None:
+            tree.soft_restore(leaves[rid], entry)
+        expected.append(want)
+    for ranked in (False, True):
+        prunable, checks = batch_is_prunable(
+            col, mats, order, vals, qd, paths, leaf_mins, ranked=ranked
+        )
+        assert prunable.tolist() == expected
+        parts = [
+            batch_is_prunable(
+                col, mats, order, vals[s], qd[s], paths[s], leaf_mins, ranked=ranked
+            )
+            for s in (slice(0, split), slice(split, None))
+        ]
+        assert np.concatenate([p for p, _ in parts]).tolist() == expected
+        assert np.concatenate([c for _, c in parts]).tolist() == checks.tolist()
