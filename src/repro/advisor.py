@@ -15,12 +15,6 @@ Heuristics encoded (with their paper sources):
   still (group reasoning also wins in memory);
 - otherwise ``TRS`` with attributes ordered by ascending observed
   cardinality (Section 5.1's ordering heuristic);
-- large fully-categorical datasets with enough distinct values and a
-  non-degenerate dissimilarity spread → the ``ITRS`` candidate index
-  (:mod:`repro.index`), whose exact mode is always sound; when the
-  measure is additionally *near-metric* (sampled triangle-defect rate
-  low) and the dataset very large, a ``recall_target`` is suggested so
-  the calibrated band rule can prune further;
 - an expected ``write_rate`` adds a maintenance verdict: delta-tree
   maintenance (:mod:`repro.maint`) for read-dominated categorical
   workloads, rebuild-per-batch when writes dominate or the dataset is
@@ -32,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.registry import make_algorithm
 from repro.data.dataset import Dataset
 from repro.data.queries import query_batch
@@ -41,27 +33,8 @@ from repro.data.stats import DatasetProfile, profile_dataset
 from repro.errors import ExperimentError
 from repro.sorting.keys import observed_cardinality_order
 
-__all__ = [
-    "IndexSignals",
-    "Recommendation",
-    "brs_shape",
-    "index_signals",
-    "recommend",
-]
+__all__ = ["Recommendation", "brs_shape", "recommend"]
 
-#: Below this the O(n) scan is cheap enough that building a tree is noise.
-_INDEX_MIN_RECORDS = 2000
-#: The value rule needs distinct values to eliminate on (mean observed
-#: distinct per attribute).
-_INDEX_MIN_DISTINCT = 4.0
-#: Nearly-constant dissimilarities give thresholds nothing to cut
-#: (coefficient of variation of the sampled aggregate dissimilarity).
-_INDEX_MIN_SPREAD = 0.10
-#: A recall target is only suggested when missing the occasional pruner
-#: is a price worth paying — very large data, near-metric measure.
-_APPROX_MIN_RECORDS = 10_000
-_APPROX_MAX_DEFECT_RATE = 0.20
-_APPROX_DEFAULT_TARGET = 0.95
 #: BRS-family recommendations are only honoured on *dense* shapes:
 #: records outnumber the distinct value cells (density >= 1), so block
 #: pruning eliminates most of phase 1 and the scan family can compete
@@ -83,54 +56,6 @@ def brs_shape(profile: DatasetProfile) -> bool:
 
 
 @dataclass(frozen=True)
-class IndexSignals:
-    """Sampled statistics the index recommendation is based on."""
-
-    #: Fraction of sampled triples violating the VP lower bound
-    #: ``D(x→y) >= D(x→v) − D(v→y)`` — 0 for a true metric.
-    defect_rate: float
-    #: Coefficient of variation of the sampled aggregate dissimilarity.
-    spread: float
-    #: Mean observed distinct values per attribute.
-    mean_distinct: float
-
-
-def index_signals(
-    dataset: Dataset, *, samples: int = 512, seed: int = 7
-) -> IndexSignals:
-    """Sample the dissimilarity statistics behind the index rules.
-
-    Only meaningful for fully-categorical datasets (the candidate index
-    requires lookup matrices); raises otherwise.
-    """
-    if len(dataset) < 2:
-        return IndexSignals(defect_rate=0.0, spread=0.0, mean_distinct=0.0)
-    mats = [np.asarray(t, dtype=np.float64) for t in dataset.space.tables()]
-    values = np.asarray([tuple(r) for r in dataset.records], dtype=np.int64)
-    n, m = values.shape
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, n, size=samples)
-    vs = rng.integers(0, n, size=samples)
-    ys = rng.integers(0, n, size=samples)
-    d_xv = np.zeros(samples)
-    d_vy = np.zeros(samples)
-    d_xy = np.zeros(samples)
-    for i in range(m):
-        d_xv += mats[i][values[xs, i], values[vs, i]]
-        d_vy += mats[i][values[vs, i], values[ys, i]]
-        d_xy += mats[i][values[xs, i], values[ys, i]]
-    defect_rate = float(np.mean(d_xv - d_vy - d_xy > 1e-12))
-    mean = float(d_xy.mean())
-    spread = float(d_xy.std() / mean) if mean > 0 else 0.0
-    distinct = [len(np.unique(values[:, i])) for i in range(m)]
-    return IndexSignals(
-        defect_rate=defect_rate,
-        spread=spread,
-        mean_distinct=float(np.mean(distinct)),
-    )
-
-
-@dataclass(frozen=True)
 class Recommendation:
     """The advisor's verdict."""
 
@@ -140,13 +65,6 @@ class Recommendation:
     rationale: tuple[str, ...]
     profile: DatasetProfile
     calibration: dict[str, float] | None = None
-    #: Route queries through the ``ITRS`` candidate index.
-    index: bool = False
-    #: Approximate-mode pruning-recall target (``None`` = exact mode).
-    recall_target: float | None = None
-    #: The sampled statistics behind ``index``/``recall_target`` (only
-    #: populated when the index rules were evaluated).
-    signals: IndexSignals | None = None
     #: Update strategy when a ``write_rate`` was supplied: ``"static"``
     #: (no writes), ``"maintained"`` (delta trees via
     #: :class:`repro.maint.MaintainedEngine`) or ``"rebuild"``
@@ -156,10 +74,8 @@ class Recommendation:
     def build(self, dataset: Dataset, **overrides):
         """Instantiate the recommended algorithm."""
         kwargs = {"memory_fraction": self.memory_fraction}
-        if self.algorithm in ("TRS", "T-TRS", "NumericTRS", "ITRS"):
+        if self.algorithm in ("TRS", "T-TRS", "NumericTRS"):
             kwargs["attribute_order"] = list(self.attribute_order)
-        if self.algorithm == "ITRS" and self.recall_target is not None:
-            kwargs["recall_target"] = self.recall_target
         kwargs.update(overrides)
         return make_algorithm(self.algorithm, dataset, **kwargs)
 
@@ -311,43 +227,6 @@ def recommend(
                 f"({calibration[algorithm]:,.0f} checks/query)"
             )
 
-    # Index rules: only once the scan family settled on TRS (the indexed
-    # family verifies candidates with the same pairwise rule).
-    index = False
-    recall_target = None
-    signals = None
-    if algorithm == "TRS" and len(dataset) >= _INDEX_MIN_RECORDS:
-        signals = index_signals(dataset, seed=seed)
-        if (
-            signals.mean_distinct >= _INDEX_MIN_DISTINCT
-            and signals.spread >= _INDEX_MIN_SPREAD
-        ):
-            index = True
-            algorithm = "ITRS"
-            rationale.append(
-                f"n={len(dataset):,} with ~{signals.mean_distinct:.0f} distinct "
-                f"values/attribute and dissimilarity spread {signals.spread:.2f}"
-                " -> ITRS candidate index (exact mode is always sound)"
-            )
-            if (
-                len(dataset) >= _APPROX_MIN_RECORDS
-                and signals.defect_rate <= _APPROX_MAX_DEFECT_RATE
-            ):
-                recall_target = _APPROX_DEFAULT_TARGET
-                rationale.append(
-                    f"near-metric measure (sampled triangle-defect rate "
-                    f"{signals.defect_rate:.0%}) on a very large dataset -> "
-                    f"recall_target={recall_target} (band rule prunes "
-                    "further; every result reports its measured recall)"
-                )
-        else:
-            rationale.append(
-                "candidate index not indicated: needs >= "
-                f"{_INDEX_MIN_DISTINCT:.0f} distinct values/attribute "
-                f"(have {signals.mean_distinct:.1f}) and dissimilarity "
-                f"spread >= {_INDEX_MIN_SPREAD} (have {signals.spread:.2f})"
-            )
-
     return Recommendation(
         algorithm=algorithm,
         attribute_order=order,
@@ -355,8 +234,5 @@ def recommend(
         rationale=tuple(rationale),
         profile=profile,
         calibration=calibration,
-        index=index,
-        recall_target=recall_target,
-        signals=signals,
         maintenance=maintenance,
     )

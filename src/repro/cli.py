@@ -78,40 +78,13 @@ def _cmd_info(args) -> int:
 def _cmd_query(args) -> int:
     ds = load_dataset(args.dataset)
     query = _parse_query(args.query, ds)
-    algorithm = args.algorithm
-    if args.shards and algorithm == "TRS":
-        # Sharding with the stock default routes through scatter-gather;
-        # explicitly chosen non-shardable algorithms error (exit 2).
-        algorithm = "SGTRS"
-    if (args.index or args.recall_target is not None) and algorithm == "TRS":
-        # Candidate-index requested with the stock default routes through
-        # the indexed family the same way sharding does.
-        algorithm = "ITRS"
     algo = make_algorithm(
-        algorithm,
-        ds,
-        backend=args.backend,
-        shards=args.shards,
-        recall_target=args.recall_target,
-        memory_fraction=args.memory,
+        args.algorithm, ds, backend=args.backend, memory_fraction=args.memory
     )
     result = algo.run(query)
     s = result.stats
     print(f"algorithm : {result.algorithm}")
     print(f"backend   : {result.backend}")
-    if getattr(result, "num_shards", 0):
-        sizes = ",".join(str(p.records) for p in result.shard_stats)
-        print(f"shards    : {result.num_shards} ({result.strategy}; sizes {sizes})")
-    if getattr(result, "index_nodes", 0):
-        print(
-            f"index     : {result.mode}, {result.index_nodes} nodes, "
-            f"candidate fraction {result.candidate_fraction:.4f}"
-        )
-        if result.mode == "approximate":
-            print(
-                f"recall    : measured {result.measured_recall:.3f} "
-                f"(target {result.recall_target})"
-            )
     print(f"result    : {list(result.record_ids)}")
     print(f"checks    : {s.checks:,}")
     print(f"io        : {s.io.sequential} sequential + {s.io.random} random page IOs")
@@ -186,9 +159,6 @@ def _cmd_batch(args) -> int:
         fault_injector=fault_injector,
         retry_policy=retry_policy,
         backend=args.backend,
-        shards=args.shards,
-        index=args.index,
-        recall_target=args.recall_target,
     )
     instrument = bool(args.trace or args.metrics_out)
     if instrument:
@@ -271,8 +241,6 @@ def _cmd_serve(args) -> int:
         algorithm=args.algorithm,
         memory_fraction=args.memory,
         backend=args.backend,
-        index=args.index,
-        recall_target=args.recall_target,
         log_queries=True,
     )
     config = ServiceConfig(
@@ -430,13 +398,6 @@ def _cmd_advise(args) -> int:
     print(f"recommended algorithm: {rec.algorithm}")
     print(f"attribute order      : {list(rec.attribute_order)}")
     print(f"memory fraction      : {rec.memory_fraction}")
-    if rec.index:
-        mode = (
-            "exact mode"
-            if rec.recall_target is None
-            else f"recall_target={rec.recall_target}"
-        )
-        print(f"candidate index      : {mode}")
     for line in rec.rationale:
         print(f"  - {line}")
     if rec.calibration:
@@ -449,25 +410,14 @@ def _cmd_backends(args) -> int:
     """List every algorithm with its backend/dispatch capabilities."""
     from repro.kernels import available_backends, resolve_algorithm
 
-    header = (
-        f"{'algorithm':<12} {'backends':<18} {'auto-dispatch':<14} "
-        f"{'shards':<7} {'index':<6}"
-    )
+    header = f"{'algorithm':<12} {'backends':<18} auto-dispatch"
     print(header)
     print("-" * len(header))
     for name in sorted(ALGORITHMS):
-        cls = ALGORITHMS[name]
         backends = ",".join(available_backends(name))
         upgraded = resolve_algorithm(name, "auto")
-        if upgraded != name:
-            auto = f"-> {upgraded}"
-        elif getattr(cls, "accepts_backend", False):
-            auto = "self"  # the class takes backend= and dispatches inside
-        else:
-            auto = "-"
-        shards = "yes" if getattr(cls, "accepts_shards", False) else "-"
-        index = "yes" if getattr(cls, "accepts_index", False) else "-"
-        print(f"{name:<12} {backends:<18} {auto:<14} {shards:<7} {index:<6}")
+        auto = f"-> {upgraded}" if upgraded != name else "-"
+        print(f"{name:<12} {backends:<18} {auto}")
     return 0
 
 
@@ -530,21 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or auto (numpy when the algorithm/dataset qualify)",
     )
     query.add_argument("--memory", type=float, default=0.10)
-    query.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="partition the dataset into K shards and answer via the "
-             "scatter-gather algorithm (SGTRS)",
-    )
-    query.add_argument(
-        "--index", action="store_true",
-        help="answer through the ITRS candidate-generation index "
-             "(exact mode: results stay bit-identical)",
-    )
-    query.add_argument(
-        "--recall-target", type=float, default=None, metavar="Q",
-        help="approximate index mode: target pruning-recall quantile in "
-             "[0,1]; the result reports its measured recall",
-    )
     query.set_defaults(func=_cmd_query)
 
     infl = sub.add_parser("influence", help="rank probe objects by RS size")
@@ -579,18 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shm", action=argparse.BooleanOptionalAction, default=False,
         help="process pool: publish the dataset and built plans to "
              "workers over shared memory instead of pickling",
-    )
-    batch.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="answer reverse-skyline queries through K-shard scatter-gather",
-    )
-    batch.add_argument(
-        "--index", action="store_true",
-        help="answer through the ITRS candidate-generation index",
-    )
-    batch.add_argument(
-        "--recall-target", type=float, default=None, metavar="Q",
-        help="approximate index mode: target pruning-recall quantile",
     )
     batch.add_argument("-k", type=int, default=1, help="k>1 answers reverse k-skybands")
     batch.add_argument("--repeat", type=int, default=1, help="replay the batch N times")
@@ -635,14 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute backend preference for the warm engine",
     )
     serve.add_argument("--memory", type=float, default=0.10)
-    serve.add_argument(
-        "--index", action="store_true",
-        help="serve through the ITRS candidate index (built at warm-up)",
-    )
-    serve.add_argument(
-        "--recall-target", type=float, default=None, metavar="Q",
-        help="approximate index mode: target pruning-recall quantile",
-    )
     serve.add_argument("--pool", choices=("thread", "process"), default="thread")
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--queue-depth", type=int, default=64,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.base import ReverseSkylineAlgorithm
 from repro.core.brs import BRS
-from repro.core.indexed import IndexedTRS
 from repro.core.naive import NaiveRS
 from repro.core.numeric import NumericTRS
 from repro.core.srs import SRS
@@ -21,7 +20,6 @@ from repro.core.vector_trs import VectorTRS
 from repro.core.vectorized import VectorBRS
 from repro.errors import AlgorithmError
 from repro.kernels import register_variant, resolve_algorithm
-from repro.shard.scatter import ScatterGatherTRS
 
 __all__ = ["ALGORITHMS", "get_algorithm", "make_algorithm"]
 
@@ -37,8 +35,6 @@ ALGORITHMS: dict[str, type[ReverseSkylineAlgorithm]] = {
         NumericTRS,
         VectorBRS,
         VectorTRS,
-        ScatterGatherTRS,
-        IndexedTRS,
     )
 }
 
@@ -64,14 +60,6 @@ def _vector_brs_profitable(dataset) -> bool:
 # explicit backend="numpy" always selects it regardless of shape.
 register_variant("BRS", "VectorBRS", auto=_vector_brs_profitable)
 register_variant("TRS", "VectorTRS")
-# SGTRS is its own variant on every backend: the backend choice applies
-# to the per-shard scan algorithms it builds internally, so dispatch
-# must hand the name back unchanged and let the class forward `backend`.
-register_variant("SGTRS", "SGTRS", auto=False)
-# ITRS likewise self-pairs: the backend selects the candidate-generation
-# kernel (scalar traversal vs whole-frontier matrix ops) inside the one
-# class, so dispatch hands the name back and the class takes `backend`.
-register_variant("ITRS", "ITRS", auto=False)
 
 
 def get_algorithm(name: str) -> type[ReverseSkylineAlgorithm]:
@@ -88,8 +76,6 @@ def make_algorithm(
     dataset,
     *,
     backend: str | None = None,
-    shards: int | None = None,
-    recall_target: float | None = None,
     **kwargs,
 ) -> ReverseSkylineAlgorithm:
     """Instantiate an algorithm by name.
@@ -98,29 +84,6 @@ def make_algorithm(
     through the kernels dispatch table first: ``python`` maps vector
     names back to their scalar family, ``numpy`` requires a vectorised
     variant, ``auto`` upgrades to it when the dataset qualifies.
-    Classes that resolve to themselves and declare ``accepts_backend``
-    (the sharded and indexed families) receive the backend as a
-    constructor argument instead. ``shards`` is forwarded to
-    shard-capable classes (``accepts_shards``) and ``recall_target`` to
-    index-capable ones (``accepts_index``); both are rejected for
-    everything else.
     """
-    resolved = resolve_algorithm(name, backend, dataset)
-    cls = get_algorithm(resolved)
-    if getattr(cls, "accepts_backend", False) and backend is not None:
-        kwargs["backend"] = backend
-    if shards is not None:
-        if not getattr(cls, "accepts_shards", False):
-            raise AlgorithmError(
-                f"algorithm {resolved!r} does not support sharded execution; "
-                "use SGTRS (or drop shards=)"
-            )
-        kwargs["shards"] = shards
-    if recall_target is not None:
-        if not getattr(cls, "accepts_index", False):
-            raise AlgorithmError(
-                f"algorithm {resolved!r} does not support approximate index "
-                "retrieval; use ITRS (or drop recall_target=)"
-            )
-        kwargs["recall_target"] = recall_target
+    cls = get_algorithm(resolve_algorithm(name, backend, dataset))
     return cls(dataset, **kwargs)

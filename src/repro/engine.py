@@ -91,9 +91,6 @@ class ReverseSkylineEngine:
         *,
         algorithm: str = "TRS",
         backend: str | None = None,
-        shards: int | None = None,
-        index: bool = False,
-        recall_target: float | None = None,
         memory_fraction: float = 0.10,
         page_bytes: int = DEFAULT_PAGE_BYTES,
         log_queries: bool = True,
@@ -101,22 +98,7 @@ class ReverseSkylineEngine:
         retry_policy=None,
     ) -> None:
         self.dataset = dataset
-        if shards is not None and algorithm == "TRS":
-            # Sharding requested with the stock default: route reverse-
-            # skyline queries through the scatter-gather family (explicit
-            # non-capable algorithm choices still error in make_algorithm).
-            algorithm = "SGTRS"
-        if (index or recall_target is not None) and algorithm == "TRS":
-            # Candidate-index requested with the stock default: route
-            # through the indexed family the same way sharding does.
-            algorithm = "ITRS"
         self.default_algorithm = algorithm
-        #: Shard count forwarded to shard-capable algorithms (``None``
-        #: keeps everything single-partition).
-        self.shards = shards
-        #: Approximate-mode pruning-recall target forwarded to
-        #: index-capable algorithms (``None`` keeps exact mode).
-        self.recall_target = recall_target
         #: Compute-backend preference (``python``/``numpy``/``auto``;
         #: ``None`` keeps each algorithm's own class). Applied whenever an
         #: algorithm instance is built, including subset engines.
@@ -158,7 +140,7 @@ class ReverseSkylineEngine:
         engine = cls(dataset, **kwargs)
         for name, ids in load_layouts(directory).items():
             try:
-                algo = engine._make_algorithm_shell(name)
+                algo = engine._make_algorithm(name)
             except Exception:
                 continue  # layout for an algorithm this build doesn't know
             algo.use_layout(layout_entries(dataset, ids))
@@ -178,36 +160,14 @@ class ReverseSkylineEngine:
         if layouts:
             save_layouts(directory, layouts)
 
-    def _make_algorithm_shell(self, name: str, recall_target: float | None = None):
-        # A per-request recall target (QuerySpec.recall_target) overrides
-        # the engine-level default for this instance only.
-        recall = recall_target if recall_target is not None else self.recall_target
-        kwargs = {}
-        if self.shards is not None or recall is not None:
-            from repro.core.registry import get_algorithm
-            from repro.kernels import resolve_algorithm
-
-            resolved = resolve_algorithm(name, self.backend, self.dataset)
-            cls = get_algorithm(resolved)
-            # Only shard-capable families take the count; the rest keep
-            # their single-partition behaviour (skyband, tiled, ...).
-            if self.shards is not None and getattr(cls, "accepts_shards", False):
-                kwargs["shards"] = self.shards
-            # Likewise only index-capable families take the recall knob.
-            if recall is not None:
-                if not getattr(cls, "accepts_index", False):
-                    raise AlgorithmError(
-                        f"recall_target needs an index-capable algorithm, "
-                        f"not {name!r}"
-                    )
-                kwargs["recall_target"] = recall
+    def _make_algorithm(self, name: str):
+        """A fresh, armed, not yet prepared instance of ``name``."""
         algo = make_algorithm(
             name,
             self.dataset,
             backend=self.backend,
             memory_fraction=self.memory_fraction,
             page_bytes=self.page_bytes,
-            **kwargs,
         )
         self._arm(algo)
         return algo
@@ -219,32 +179,16 @@ class ReverseSkylineEngine:
         algo.retry_policy = self.retry_policy
 
     # -- internals ----------------------------------------------------------
-    def _algorithm(self, name: str, recall_target: float | None = None):
-        # Per-request recall targets get their own prepared instance,
-        # cached under a qualified key (the instance bakes the target in).
-        key = name if recall_target is None else f"{name}@recall={recall_target}"
-        algo = self._algorithms.get(key)
+    def _algorithm(self, name: str):
+        algo = self._algorithms.get(name)
         if algo is None:
             with self._lock:
-                algo = self._algorithms.get(key)
+                algo = self._algorithms.get(name)
                 if algo is None:
-                    algo = self._make_algorithm_shell(
-                        name, recall_target=recall_target
-                    )
+                    algo = self._make_algorithm(name)
                     algo.prepare()
-                    self._algorithms[key] = algo
+                    self._algorithms[name] = algo
         return algo
-
-    def _spec_routing(self, spec) -> tuple[str, float | None]:
-        """Resolve a query spec's (algorithm name, per-request recall):
-        a recall target on the stock default routes through the indexed
-        family, mirroring what the constructor does for engine-level
-        ``recall_target``."""
-        name = spec.algorithm or self.default_algorithm
-        recall = getattr(spec, "recall_target", None)
-        if recall is not None and name == "TRS":
-            name = "ITRS"
-        return name, recall
 
     def _skyband_algorithm(self, k: int) -> ReverseSkybandTRS:
         algo = self._skybands.get(k)
@@ -528,7 +472,7 @@ class ReverseSkylineEngine:
         """Build (under lock) whatever prepared instance ``spec`` needs, so
         pooled workers only ever *read* the instance caches."""
         if spec.kind == "query":
-            self._algorithm(*self._spec_routing(spec))
+            self._algorithm(spec.algorithm or self.default_algorithm)
         elif spec.kind == "skyband":
             self._skyband_algorithm(spec.k)
         elif spec.kind == "subset":
@@ -538,7 +482,7 @@ class ReverseSkylineEngine:
         """Answer one spec without recording (the executor records the
         whole batch afterwards, in input order)."""
         if spec.kind == "query":
-            algo = self._algorithm(*self._spec_routing(spec))
+            algo = self._algorithm(spec.algorithm or self.default_algorithm)
             return algo.run(spec.query)
         if spec.kind == "skyband":
             return self._skyband_algorithm(spec.k).run(spec.query)

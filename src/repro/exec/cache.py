@@ -43,11 +43,6 @@ class CacheKey:
     query: tuple
     k: int = 1
     attributes: tuple[int, ...] | None = None
-    #: The request's approximate-mode recall contract (``None`` = exact).
-    #: Part of the key: a cached *exact* answer must never satisfy an
-    #: approximate request (or vice versa) — the two are different
-    #: results with different cost/recall accounting.
-    recall_target: float | None = None
 
 
 @dataclass

@@ -71,10 +71,6 @@ class QuerySpec:
     algorithm: str | None = None
     #: Attribute names or indices for ``kind="subset"`` (Section 5.6).
     attributes: tuple | None = None
-    #: Per-request approximate-mode pruning-recall target (``None`` keeps
-    #: exact mode). Part of the result-cache key: an exact answer and an
-    #: approximate one for the same query are different results.
-    recall_target: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -85,15 +81,6 @@ class QuerySpec:
             raise AlgorithmError(f"skyband needs k >= 1, got {self.k}")
         if self.kind == "subset" and not self.attributes:
             raise AlgorithmError("subset queries need a non-empty attribute tuple")
-        if self.recall_target is not None:
-            if self.kind != "query":
-                raise AlgorithmError(
-                    f"recall_target only applies to kind='query', not {self.kind!r}"
-                )
-            if not 0.0 <= self.recall_target <= 1.0:
-                raise AlgorithmError(
-                    f"recall_target must be in [0, 1], got {self.recall_target!r}"
-                )
 
 
 def as_spec(
@@ -103,7 +90,6 @@ def as_spec(
     k: int = 1,
     algorithm: str | None = None,
     attributes: Sequence | None = None,
-    recall_target: float | None = None,
 ) -> QuerySpec:
     """Coerce a plain query tuple (or a ready spec) into a QuerySpec."""
     if isinstance(item, QuerySpec):
@@ -114,7 +100,6 @@ def as_spec(
         k=k if kind == "skyband" else 1,
         algorithm=algorithm,
         attributes=tuple(attributes) if attributes is not None else None,
-        recall_target=recall_target if kind == "query" else None,
     )
 
 
@@ -230,8 +215,6 @@ def _process_worker_init(
     obs_enabled=False,
     backend=None,
     manifest=None,
-    shards=None,
-    recall_target=None,
     maint=None,
 ) -> None:
     global _WORKER_ENGINE, _WORKER_INJECTOR, _WORKER_POLICY
@@ -274,7 +257,6 @@ def _process_worker_init(
             fault_injector=_WORKER_INJECTOR,
             retry_policy=_WORKER_POLICY,
             backend=backend,
-            recall_target=recall_target,
         )
         if maint.get("manifest") is not None:
             from repro.exec import shm as _shm
@@ -293,8 +275,6 @@ def _process_worker_init(
         fault_injector=_WORKER_INJECTOR,
         retry_policy=_WORKER_POLICY,
         backend=backend,
-        shards=shards,
-        recall_target=recall_target,
     )
 
 
@@ -355,10 +335,6 @@ def planner_group_key(engine, spec: QuerySpec):
     resident service's micro-batcher (:mod:`repro.serve.batcher`).
     """
     if spec.kind != "query" or spec.attributes is not None:
-        return None
-    if getattr(spec, "recall_target", None) is not None:
-        # Approximate requests carry their own recall contract; the
-        # shared scan only answers exact.
         return None
     if getattr(engine, "maint_active", False):
         # Maintained engines answer in stable ids over base + deltas;
@@ -812,7 +788,6 @@ class QueryExecutor:
                 if spec.attributes is not None
                 else None
             ),
-            recall_target=getattr(spec, "recall_target", None),
         )
 
     def _retry_args(self) -> dict:
@@ -887,8 +862,6 @@ class QueryExecutor:
             _obs.enabled,
             getattr(engine, "backend", None),
             manifest,
-            getattr(engine, "shards", None),
-            getattr(engine, "recall_target", None),
             maint,
         )
 

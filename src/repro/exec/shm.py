@@ -62,7 +62,6 @@ __all__ = [
     "deltas_from_manifest",
     "detach_manifest",
     "publish_arrays",
-    "publish_dataset",
     "publish_deltas",
     "publish_engine",
     "seed_plan_cache",
@@ -360,18 +359,6 @@ def _dataset_arrays(dataset) -> tuple[dict, dict] | None:
     return arrays, meta
 
 
-def publish_dataset(dataset) -> ShmManifest | None:
-    """Publish one dataset (records + dissimilarity matrices, no plans)
-    into its own segment — the per-shard unit of sharing for
-    :class:`repro.shard.scatter.ScatterGatherTRS`. Returns ``None`` when
-    the dataset cannot be flattened (see :func:`_dataset_arrays`)."""
-    packed = _dataset_arrays(dataset)
-    if packed is None:
-        return None
-    arrays, meta = packed
-    return publish_arrays(arrays, meta)
-
-
 def publish_engine(engine) -> ShmManifest | None:
     """Publish an engine's dataset plus every built VectorTRS plan.
 
@@ -379,15 +366,12 @@ def publish_engine(engine) -> ShmManifest | None:
     arrays — callers fall back to the pickle ``initargs`` path and count
     the fallback.
     """
-    from repro.core.indexed import IndexedTRS
     from repro.core.vector_trs import VectorTRS, export_plan
-    from repro.index.tree import export_index
 
     packed = _dataset_arrays(engine.dataset)
     if packed is None:
         return None
     arrays, meta = packed
-    meta["indexes"] = []
 
     # Ship every phase-1/scan plan the parent has already paid for, so
     # workers import instead of rebuilding. The planner's warmed holder
@@ -399,27 +383,7 @@ def publish_engine(engine) -> ShmManifest | None:
     if warm is not None:
         holders.append(warm)
     published: set = set()
-    published_indexes: set = set()
     for j, algo in enumerate(holders):
-        # Prepared ITRS holders ship their pruning tree too, so pool
-        # workers import the index instead of rebuilding it per process.
-        if isinstance(algo, IndexedTRS):
-            index = algo._index_cache
-            fp = algo._index_fp
-            if index is None or fp is None:
-                continue
-            identity = (fp, index.params.key())
-            if identity in published_indexes:
-                continue
-            published_indexes.add(identity)
-            prefix = f"idx{j}."
-            idx_meta, idx_arrays = export_index(index)
-            for key, arr in idx_arrays.items():
-                arrays[prefix + key] = arr
-            meta["indexes"].append(
-                {"prefix": prefix, "fingerprint": fp, "meta": idx_meta}
-            )
-            continue
         if not isinstance(algo, VectorTRS):
             continue
         batches = getattr(algo, "_p1_cache", None)
@@ -593,20 +557,4 @@ def seed_plan_cache(manifest: ShmManifest) -> int:
                 (sub["scan_ids"], sub["scan_vals"], sub["scan_pages"]),
             )
             seeded += 1
-    for idx in manifest.meta.get("indexes", ()):
-        from repro.index.tree import import_index
-
-        prefix = idx["prefix"]
-        sub = {
-            key[len(prefix):]: arr
-            for key, arr in arrays.items()
-            if key.startswith(prefix)
-        }
-        index = import_index(idx["meta"], sub, arrays["data.values"])
-        cache.put(
-            PlanKey("index", idx["fingerprint"], index.params.key()),
-            index,
-            nbytes=index.memory_bytes(),
-        )
-        seeded += 1
     return seeded

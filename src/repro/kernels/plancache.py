@@ -171,12 +171,10 @@ class PlanCache:
             _obs.inc("repro_plan_cache_lookups_total", 1, outcome="hit")
         return entry[0]
 
-    def put(self, key: PlanKey, value, nbytes: int | None = None) -> None:
+    def put(self, key: PlanKey, value) -> None:
         """Insert (or refresh) one artifact. Artifacts larger than the
         whole capacity are skipped rather than wiping the cache."""
-        if nbytes is None:
-            nbytes = artifact_nbytes(value)
-        nbytes = int(nbytes)
+        nbytes = artifact_nbytes(value)
         if nbytes > self.capacity_bytes:
             with self._lock:
                 self._oversize_skips += 1

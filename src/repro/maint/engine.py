@@ -71,20 +71,20 @@ class _EpochContext:
         self.base_ids = base_ids
         self.delta_sids = delta_sids
         self.epoch = epoch
-        self.algorithms: dict = {}  # (name, recall_target) -> prepared instance
+        self.algorithms: dict = {}  # algorithm name -> prepared instance
         self.values_by_sid: dict | None = None  # lazy, for `where` filters
 
 
 class MaintainedEngine(ReverseSkylineEngine):
     """An engine whose dataset absorbs inserts and deletes in place.
 
-    Supports the TRS family (``TRS``/``VectorTRS``/``ITRS``) for
-    ``kind="query"`` reverse skylines; skyband, subset and influence
-    queries require a compacted, static base — call :meth:`compact` and
-    open a plain engine for those. Sharding is likewise unsupported.
+    Supports the TRS family (``TRS``/``VectorTRS``) for ``kind="query"``
+    reverse skylines; skyband, subset and influence queries require a
+    compacted, static base — call :meth:`compact` and open a plain engine
+    for those.
 
     Results report **stable ids** (see :class:`~repro.maint.MaintStore`),
-    not base positions — the ids survive compactions, so monitoring and
+    not base positions — the ids survive compactions, so callers and
     caching layers can compare results across the dataset's lifetime.
     """
 
@@ -97,12 +97,6 @@ class MaintainedEngine(ReverseSkylineEngine):
         compact_min: int = DEFAULT_COMPACT_MIN,
         **kwargs,
     ) -> None:
-        if kwargs.get("shards") is not None:
-            raise AlgorithmError(
-                "maintained engines do not shard; compact() and open a "
-                "plain engine with shards= for scatter-gather"
-            )
-        kwargs.pop("shards", None)
         if store is None:
             if dataset is None:
                 raise AlgorithmError("MaintainedEngine needs a dataset or a store")
@@ -150,33 +144,24 @@ class MaintainedEngine(ReverseSkylineEngine):
             epoch=overlay.epoch,
         )
 
-    def _ctx_algorithm(self, ctx: _EpochContext, name: str, recall_target=None):
-        key = (name, recall_target)
-        algo = ctx.algorithms.get(key)
+    def _ctx_algorithm(self, ctx: _EpochContext, name: str):
+        algo = ctx.algorithms.get(name)
         if algo is None:
             with self._lock:
-                algo = ctx.algorithms.get(key)
+                algo = ctx.algorithms.get(name)
                 if algo is None:
-                    algo = self._build_overlay_algorithm(ctx, name, recall_target)
-                    ctx.algorithms[key] = algo
+                    algo = self._build_overlay_algorithm(ctx, name)
+                    ctx.algorithms[name] = algo
         return algo
 
-    def _build_overlay_algorithm(self, ctx: _EpochContext, name: str, recall_target):
+    def _build_overlay_algorithm(self, ctx: _EpochContext, name: str):
         resolved = resolve_algorithm(name, self.backend, ctx.base)
         cls = get_algorithm(resolved)
         if not (isinstance(cls, type) and issubclass(cls, TRS)):
             raise AlgorithmError(
                 f"maintained engines support the TRS family "
-                f"(TRS/VectorTRS/ITRS), not {name!r}"
+                f"(TRS/VectorTRS), not {name!r}"
             )
-        kwargs = {}
-        rt = recall_target if recall_target is not None else self.recall_target
-        if rt is not None:
-            if not getattr(cls, "accepts_index", False):
-                raise AlgorithmError(
-                    f"recall_target needs an index-capable algorithm, not {name!r}"
-                )
-            kwargs["recall_target"] = rt
         algo = make_algorithm(
             name,
             ctx.base,
@@ -184,7 +169,6 @@ class MaintainedEngine(ReverseSkylineEngine):
             memory_fraction=self.memory_fraction,
             page_bytes=self.page_bytes,
             overlay=ctx.overlay,
-            **kwargs,
         )
         self._arm(algo)
         cached_layout = self._base_layouts.get(algo.name)
@@ -216,10 +200,10 @@ class MaintainedEngine(ReverseSkylineEngine):
                 algo._plan_fp_layout = algo._layout
         return algo
 
-    def _algorithm(self, name: str, recall_target=None):
+    def _algorithm(self, name: str):
         # Route every prepared-instance request (warm(), executor
         # prepare, ...) through the current epoch's context.
-        return self._ctx_algorithm(self._epoch_ctx, name, recall_target)
+        return self._ctx_algorithm(self._epoch_ctx, name)
 
     def _translate(self, ctx: _EpochContext, result: RSResult) -> RSResult:
         """Scan-space ids (base positions, then ``len(base)+j`` for delta
@@ -270,14 +254,12 @@ class MaintainedEngine(ReverseSkylineEngine):
                 f"engine for skyband/subset queries"
             )
         ctx = self._epoch_ctx
-        name, rt = self._spec_routing(spec)
-        algo = self._ctx_algorithm(ctx, name, rt)
+        algo = self._ctx_algorithm(ctx, spec.algorithm or self.default_algorithm)
         return self._translate(ctx, algo.run(spec.query))
 
     def _prepare_for(self, spec) -> None:
         if spec.kind == "query":
-            name, rt = self._spec_routing(spec)
-            self._ctx_algorithm(self._epoch_ctx, name, rt)
+            self._algorithm(spec.algorithm or self.default_algorithm)
 
     def skyband(self, query, k: int) -> RSResult:
         raise AlgorithmError(

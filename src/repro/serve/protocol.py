@@ -60,9 +60,6 @@ class ServeRequest:
     attributes: tuple[int, ...] | None = None
     tenant: str = "default"
     deadline_ms: float | None = None
-    #: kind='query' only — route through the index-capable approximate
-    #: path with this measured-recall floor. Part of the cache identity.
-    recall_target: float | None = None
     #: op='update' only — records to insert (list of value arrays) and
     #: stable record ids to delete.
     inserts: tuple[tuple[Any, ...], ...] = ()
@@ -142,17 +139,6 @@ def decode_request(line: bytes | str) -> ServeRequest:
     algorithm = obj.get("algorithm")
     if algorithm is not None and not isinstance(algorithm, str):
         raise BadRequest("algorithm must be a string")
-    recall_target = obj.get("recall_target")
-    if recall_target is not None:
-        if (
-            not isinstance(recall_target, (int, float))
-            or isinstance(recall_target, bool)
-            or not 0.0 <= recall_target <= 1.0
-        ):
-            raise BadRequest("recall_target must be a number in [0, 1]")
-        if kind != "query":
-            raise BadRequest("recall_target is only meaningful for kind='query'")
-        recall_target = float(recall_target)
     return ServeRequest(
         op="query",
         request_id=request_id,
@@ -163,7 +149,6 @@ def decode_request(line: bytes | str) -> ServeRequest:
         attributes=attributes,
         tenant=str(obj.get("tenant", "default")),
         deadline_ms=deadline_ms,
-        recall_target=recall_target,
     )
 
 

@@ -307,8 +307,6 @@ class QueryService:
             dataset,
             algorithm=old.default_algorithm,
             backend=getattr(old, "backend", None),
-            shards=getattr(old, "shards", None),
-            recall_target=getattr(old, "recall_target", None),
             memory_fraction=old.memory_fraction,
             page_bytes=old.page_bytes,
             log_queries=False,
@@ -427,7 +425,6 @@ class QueryService:
                 k=req.k if req.k is not None else 1,
                 algorithm=req.algorithm,
                 attributes=req.attributes,
-                recall_target=req.recall_target,
             )
         except ReproError as exc:
             raise BadRequest(str(exc)) from exc
@@ -447,7 +444,6 @@ class QueryService:
                     if spec.attributes is not None
                     else None
                 ),
-                recall_target=spec.recall_target,
             )
         except ReproError:
             return None

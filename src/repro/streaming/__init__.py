@@ -1,20 +1,9 @@
 """Streaming reverse-skyline maintenance.
 
 Public surface: :class:`StreamingReverseSkyline` (one query, sliding
-window) and :class:`ReverseSkylineMonitor` (many standing queries,
-membership deltas per update batch).
+window).
 """
 
-from repro.streaming.monitor import (
-    BatchResult,
-    MembershipDelta,
-    ReverseSkylineMonitor,
-)
 from repro.streaming.window import StreamingReverseSkyline
 
-__all__ = [
-    "BatchResult",
-    "MembershipDelta",
-    "ReverseSkylineMonitor",
-    "StreamingReverseSkyline",
-]
+__all__ = ["StreamingReverseSkyline"]

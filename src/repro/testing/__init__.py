@@ -1,20 +1,16 @@
 """Public verification toolkit for reverse-skyline implementations.
 
 Public surface: :func:`verify_algorithm`, :func:`verify_executor`,
-:func:`verify_chaos_equivalence`, :func:`verify_sharded_equivalence`,
-:func:`verify_index_equivalence`, :func:`random_workload`,
-:class:`WorkloadCase`, :class:`VerificationReport`,
-:class:`VerificationFailure`, :class:`ChaosReport`, :class:`ChaosFailure`.
+:func:`verify_chaos_equivalence`, :func:`verify_maint_equivalence`,
+:func:`random_workload`, :class:`WorkloadCase`,
+:class:`VerificationReport`, :class:`VerificationFailure`,
+:class:`ChaosReport`, :class:`ChaosFailure`, :class:`MaintReport`.
 """
 
 from repro.testing.chaos import (
     ChaosFailure,
     ChaosReport,
     verify_chaos_equivalence,
-)
-from repro.testing.differential import (
-    verify_index_equivalence,
-    verify_sharded_equivalence,
 )
 from repro.testing.maintenance import MaintReport, verify_maint_equivalence
 from repro.testing.verify import (
@@ -37,7 +33,5 @@ __all__ = [
     "verify_algorithm",
     "verify_chaos_equivalence",
     "verify_executor",
-    "verify_index_equivalence",
     "verify_maint_equivalence",
-    "verify_sharded_equivalence",
 ]

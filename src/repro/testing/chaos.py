@@ -87,7 +87,6 @@ def verify_chaos_equivalence(
     use_cache: bool = True,
     use_plan: bool = False,
     use_shm: bool = False,
-    shards: int = 0,
     max_failures: int = 5,
 ) -> ChaosReport:
     """Replay ``trials`` randomized workloads under fault injection on
@@ -105,12 +104,6 @@ def verify_chaos_equivalence(
     additionally asserts **zero leaked shared-memory segments** after
     every batch — even when workers crashed mid-run (kind
     ``"shm-leak"``).
-
-    ``shards`` > 0 answers the faulted side through K-shard
-    scatter-gather (``SGTRS``) while the fault-free reference stays
-    sequential TRS: a worker crash killing one shard job mid-round must
-    still produce a bit-identical answer (shard-level retries) or a
-    structured error — never a wrong answer, never a batch abort.
     """
     if trials < 1:
         raise ExperimentError(f"trials must be >= 1, got {trials}")
@@ -151,7 +144,6 @@ def verify_chaos_equivalence(
                 log_queries=False,
                 fault_injector=injector,
                 retry_policy=policy,
-                shards=shards or None,
             )
             try:
                 batch = engine.query_many(

@@ -246,56 +246,16 @@ class TestBackends:
     def test_lists_capability_flags(self, capsys):
         rc = main(["backends"])
         assert rc == 0
-        out = capsys.readouterr().out
-        lines = {
-            line.split()[0]: line for line in out.splitlines() if line.strip()
-        }
-        assert "TRS" in lines and "-> VectorTRS" in lines["TRS"]
-        assert "SGTRS" in lines and "yes" in lines["SGTRS"]  # shards
-        assert "ITRS" in lines and "yes" in lines["ITRS"]  # index
-        assert "self" in lines["ITRS"]  # backend dispatched in-class
-        assert "Naive" in lines and "numpy" not in lines["Naive"]
-
-
-class TestIndexFlags:
-    def test_index_query_matches_plain_trs(self, dataset_dir, capsys):
-        rc = main(["query", dataset_dir, "--query", "1,2,0"])
-        assert rc == 0
-        plain = capsys.readouterr().out
-        rc = main(["query", dataset_dir, "--query", "1,2,0", "--index"])
-        assert rc == 0
-        indexed = capsys.readouterr().out
-        want = next(l for l in plain.splitlines() if l.startswith("result"))
-        assert want in indexed
-        assert "algorithm : ITRS" in indexed
-        assert "index     : exact" in indexed
-
-    def test_recall_target_reports_measured_recall(self, dataset_dir, capsys):
-        rc = main(
-            ["query", dataset_dir, "--query", "1,2,0",
-             "--recall-target", "0.9"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "approximate" in out
-        assert "measured" in out
-
-    def test_recall_target_rejected_off_family(self, dataset_dir, capsys):
-        rc = main(
-            ["query", dataset_dir, "--query", "1,2,0",
-             "--algorithm", "BRS", "--recall-target", "0.9"]
-        )
-        assert rc == 2
-        assert "ITRS" in capsys.readouterr().err
-
-    def test_batch_index_flag(self, dataset_dir, capsys):
-        rc = main(
-            ["batch", dataset_dir, "--queries", "1,2,0", "0,0,0",
-             "--index", "--show-results", "--pool", "serial"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "queries     : 2" in out
+        header, rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["algorithm", "backends", "auto-dispatch"]
+        assert set(rule) == {"-"}
+        lines = {line.split()[0]: line for line in rows}
+        assert sorted(lines) == [
+            "BRS", "Naive", "NumericTRS", "SRS", "T-SRS", "T-TRS", "TRS",
+            "VectorBRS", "VectorTRS",
+        ]
+        assert "-> VectorTRS" in lines["TRS"]
+        assert "numpy" not in lines["Naive"]
 
 
 class TestReport:

@@ -1,5 +1,5 @@
-"""Incremental maintenance: delta trees, compaction, epoch caching,
-the continuous monitor, and the equivalence harness."""
+"""Incremental maintenance: delta trees, compaction, epoch caching and
+the equivalence harness."""
 
 import random
 
@@ -13,7 +13,6 @@ from repro.engine import ReverseSkylineEngine
 from repro.errors import AlgorithmError
 from repro.kernels.plancache import configure, plan_cache
 from repro.maint import MaintainedEngine, MaintStore
-from repro.streaming import ReverseSkylineMonitor
 from repro.testing import verify_maint_equivalence
 
 
@@ -243,87 +242,6 @@ class TestMaintainedEngine:
             engine.query_subset([0], (0,))
         with pytest.raises(AlgorithmError):
             engine.influence({"p": (0, 0, 0)})
-        with pytest.raises(AlgorithmError):
-            MaintainedEngine(ds, shards=2)
-
-    def test_recall_target_requires_index_capable_algorithm(self, ds):
-        engine = MaintainedEngine(ds, log_queries=False)
-        from repro.exec.executor import QuerySpec
-
-        with pytest.raises(AlgorithmError):
-            QuerySpec((0, 0, 0), recall_target=1.5)
-        with pytest.raises(AlgorithmError):
-            QuerySpec((0, 0, 0), kind="skyband", k=2, recall_target=0.9)
-        # TRS + recall_target routes to ITRS instead of failing.
-        spec = QuerySpec(tuple(0 for _ in ds.schema.cardinalities()),
-                         recall_target=1.0)
-        result = engine._execute_spec(spec)
-        assert result.algorithm in ("ITRS", "IndexedTRS")
-
-
-class TestMonitor:
-    def test_events_track_naive_membership(self, ds):
-        rng = random.Random(21)
-        mon = ReverseSkylineMonitor.from_dataset(ds)
-        queries = {f"q{i}": _rand_records(ds, 1, rng)[0] for i in range(4)}
-        members = {
-            qid: set(mon.register(qid, q)) for qid, q in queries.items()
-        }
-        for qid in queries:
-            assert members[qid] == set(mon.recompute_naive(qid))
-        for _ in range(12):
-            live = [o for o in range(mon._next_id) if o in mon]
-            res = mon.apply(
-                inserts=_rand_records(ds, rng.randrange(0, 3), rng),
-                deletes=rng.sample(live, rng.randrange(0, 3)),
-            )
-            for delta in res.deltas:
-                assert not (set(delta.entered) & members[delta.query_id])
-                assert set(delta.left) <= members[delta.query_id]
-                members[delta.query_id] -= set(delta.left)
-                members[delta.query_id] |= set(delta.entered)
-            for qid in queries:
-                assert members[qid] == set(mon.recompute_naive(qid))
-
-    def test_ids_align_with_maint_store(self, ds):
-        rng = random.Random(22)
-        store = MaintStore(ds, compact_min=10_000)
-        mon = ReverseSkylineMonitor.from_dataset(ds)
-        mon.register("q", _rand_records(ds, 1, rng)[0])
-        for _ in range(4):
-            ins = _rand_records(ds, 2, rng)
-            live = [sid for sid, _ in store.live_entries()]
-            dels = rng.sample(live, 1)
-            res_store = store.apply(inserts=ins, deletes=dels)
-            res_mon = mon.apply(inserts=ins, deletes=dels)
-            assert res_mon.inserted == res_store.inserted
-
-    def test_influence_filter_is_sound_and_counted(self, ds):
-        rng = random.Random(23)
-        mon = ReverseSkylineMonitor.from_dataset(ds)
-        for i in range(3):
-            mon.register(f"q{i}", _rand_records(ds, 1, rng)[0])
-        for _ in range(10):
-            mon.apply(inserts=_rand_records(ds, 2, rng))
-        stats = mon.stats()
-        assert stats["evaluated"] + stats["filtered"] == 3 * 20
-        for i in range(3):
-            assert mon.members(f"q{i}") == mon.recompute_naive(f"q{i}")
-
-    def test_bad_batches_and_lookups_raise(self, ds):
-        mon = ReverseSkylineMonitor.from_dataset(ds)
-        with pytest.raises(AlgorithmError):
-            mon.apply(deletes=[9999])
-        with pytest.raises(AlgorithmError):
-            mon.apply(deletes=[1, 1])
-        with pytest.raises(AlgorithmError):
-            mon.members("nope")
-        mon.register("q", ds.records[0])
-        with pytest.raises(AlgorithmError):
-            mon.register("q", ds.records[1])
-        mon.unregister("q")
-        with pytest.raises(AlgorithmError):
-            mon.unregister("q")
 
 
 class TestHarness:

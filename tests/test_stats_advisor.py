@@ -122,6 +122,17 @@ class TestAdvisor:
         with pytest.raises(ExperimentError):
             recommend(synthetic_dataset(0, [3], seed=1))
 
+    def test_large_spread_dataset_gets_trs(self):
+        # Large, many-valued data with a wide dissimilarity spread.
+        from repro.dissim.generators import metric_like_dissimilarity
+
+        ds = _categorical_dataset(
+            2500, [8, 8, 6], metric_like_dissimilarity, seed=11
+        )
+        rec = recommend(ds)
+        assert rec.algorithm == "TRS"
+        assert type(rec.build(ds)) is TRS
+
 
 def _categorical_dataset(n, cards, dissim_factory, seed):
     """A synthetic dataset with a chosen dissimilarity construction."""
@@ -138,70 +149,6 @@ def _categorical_dataset(n, cards, dissim_factory, seed):
     ]
     space = DissimilaritySpace([dissim_factory(c, rng) for c in cards])
     return Dataset(schema, records, space, validate=False, name=f"adv-{n}")
-
-
-class TestIndexAdvice:
-    def test_small_dataset_keeps_trs(self, ds):
-        rec = recommend(ds)  # n=400 < index threshold
-        assert rec.algorithm == "TRS"
-        assert not rec.index
-        assert rec.recall_target is None
-
-    def test_large_spread_dataset_gets_index(self):
-        from repro.dissim.generators import metric_like_dissimilarity
-
-        ds = _categorical_dataset(
-            2500, [8, 8, 6], metric_like_dissimilarity, seed=11
-        )
-        rec = recommend(ds)
-        assert rec.algorithm == "ITRS"
-        assert rec.index
-        assert rec.signals is not None
-        assert any("candidate index" in r for r in rec.rationale)
-        from repro.core.indexed import IndexedTRS
-
-        assert isinstance(rec.build(ds), IndexedTRS)
-
-    def test_metric_signals_are_clean(self):
-        from repro.advisor import index_signals
-        from repro.dissim.generators import (
-            metric_like_dissimilarity,
-            random_dissimilarity,
-        )
-
-        metric = _categorical_dataset(
-            300, [8, 8], metric_like_dissimilarity, seed=3
-        )
-        rough = _categorical_dataset(300, [8, 8], random_dissimilarity, seed=3)
-        s_metric = index_signals(metric)
-        s_rough = index_signals(rough)
-        # Shortest-path closure leaves (near) zero triangle defects on
-        # each attribute; random U[0,1] matrices violate them freely.
-        assert s_metric.defect_rate < s_rough.defect_rate
-        assert 0.0 <= s_metric.defect_rate <= 1.0
-        assert s_metric.mean_distinct > 1
-
-    def test_near_metric_very_large_gets_recall_target(self):
-        from repro.dissim.generators import metric_like_dissimilarity
-
-        ds = _categorical_dataset(
-            10_000, [10, 10], metric_like_dissimilarity, seed=5
-        )
-        rec = recommend(ds)
-        assert rec.algorithm == "ITRS"
-        assert rec.recall_target is not None
-        assert 0.0 < rec.recall_target <= 1.0
-        algo = rec.build(ds)
-        assert algo.recall_target == rec.recall_target
-
-    def test_low_cardinality_skips_index(self):
-        from repro.dissim.generators import random_dissimilarity
-
-        ds = _categorical_dataset(2500, [2, 2], random_dissimilarity, seed=9)
-        rec = recommend(ds)
-        assert rec.algorithm == "TRS"
-        assert not rec.index
-        assert any("not indicated" in r for r in rec.rationale)
 
 
 class TestBRSShapeRule:
