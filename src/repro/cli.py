@@ -573,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline (0 = unbounded)")
     serve.add_argument(
         "--plan", action=argparse.BooleanOptionalAction, default=True,
-        help="warm the numpy plan cache and coalesce via shared scans",
+        help="warm the numpy plan cache at startup (coalescing does not "
+        "depend on this flag)",
     )
     serve.add_argument(
         "--shm", action=argparse.BooleanOptionalAction, default=True,

@@ -413,7 +413,7 @@ class ReverseSkylineEngine:
         workers inherit warm plans for free."""
         self._algorithm(algorithm or self.default_algorithm)
         if plans:
-            from repro.exec.executor import _warm_plan_cache
+            from repro.exec.dispatch import _warm_plan_cache
 
             _warm_plan_cache(self)
 
@@ -455,7 +455,7 @@ class ReverseSkylineEngine:
             self._skybands.clear()
             self._subset_engines.clear()
             self._fingerprint = None
-            # Planner-side derived state (see repro.exec.executor): the
+            # Planner-side derived state (see repro.exec.dispatch): the
             # shared-scan instances and the warmed plan holder both bake
             # in the old layout.
             self.__dict__.pop("_shared_scans", None)
@@ -468,16 +468,6 @@ class ReverseSkylineEngine:
             )
 
     # -- executor support ----------------------------------------------------
-    def _prepare_for(self, spec) -> None:
-        """Build (under lock) whatever prepared instance ``spec`` needs, so
-        pooled workers only ever *read* the instance caches."""
-        if spec.kind == "query":
-            self._algorithm(spec.algorithm or self.default_algorithm)
-        elif spec.kind == "skyband":
-            self._skyband_algorithm(spec.k)
-        elif spec.kind == "subset":
-            self._subset_engine(self._resolve_indices(spec.attributes))
-
     def _execute_spec(self, spec) -> RSResult:
         """Answer one spec without recording (the executor records the
         whole batch afterwards, in input order)."""

@@ -44,6 +44,25 @@ class CacheKey:
     k: int = 1
     attributes: tuple[int, ...] | None = None
 
+    @classmethod
+    def of(cls, engine, spec, fingerprint: str) -> "CacheKey":
+        """The key ``spec`` caches under on ``engine`` at ``fingerprint``
+        — the one construction the batch executor and the resident
+        service share, so both paths key a query identically. Raises
+        :class:`ReproError` for attributes the schema cannot resolve."""
+        return cls(
+            kind=spec.kind,
+            algorithm=spec.algorithm or engine.default_algorithm,
+            fingerprint=fingerprint,
+            query=tuple(spec.query),
+            k=spec.k,
+            attributes=(
+                engine._resolve_indices(spec.attributes)
+                if spec.attributes is not None
+                else None
+            ),
+        )
+
 
 @dataclass
 class CacheStats:

@@ -375,7 +375,7 @@ def publish_engine(engine) -> ShmManifest | None:
 
     # Ship every phase-1/scan plan the parent has already paid for, so
     # workers import instead of rebuilding. The planner's warmed holder
-    # (see ``repro.exec.executor._warm_plan_cache``) counts too; dedupe
+    # (see ``repro.exec.dispatch._warm_plan_cache``) counts too; dedupe
     # on the plan-cache identity so it and a prepared engine VectorTRS
     # do not publish the same arrays twice.
     holders = list(getattr(engine, "_algorithms", {}).values())

@@ -3,7 +3,7 @@
 One policy object serves both recovery sites: the storage layer retries
 individual page IOs (:meth:`repro.storage.disk.DiskSimulator.execute_page_io`)
 and the batch executor retries whole queries after a worker crash
-(:func:`repro.exec.executor._run_with_recovery`). Delays grow
+(:func:`repro.exec.dispatch._run_with_recovery`). Delays grow
 geometrically from ``base_delay_s`` up to ``max_delay_s``; when
 ``max_attempts`` is spent the policy raises
 :class:`~repro.errors.RetryExhaustedError` wrapping the last transient

@@ -35,38 +35,28 @@ BACKENDS = ("python", "numpy", "auto")
 _VECTOR_OF: dict[str, str] = {}
 #: numpy-variant algorithm name -> scalar algorithm name.
 _SCALAR_OF: dict[str, str] = {}
-#: vector names ``auto`` is allowed to pick unconditionally. Variants
-#: that win only on particular workload shapes register a *predicate*
-#: instead (see ``_AUTO_WHEN``): VectorBRS, for example, pays per-page
-#: batch overheads that only amortise on dense low-cardinality schemas,
-#: so ``auto`` upgrades BRS only there (BENCH_core.json records both
-#: the demotion measurement and the shape on which it now wins).
-_AUTO_OK: set[str] = set()
-#: vector name -> predicate(dataset) gating ``auto`` dispatch by
-#: workload shape. A predicate variant with no dataset in hand stays
-#: scalar (conservative: shape unknown).
-_AUTO_WHEN: dict[str, object] = {}
+#: vector name -> when ``auto`` may pick it: ``True`` always, or a
+#: predicate(dataset) gating it by workload shape. VectorBRS, for
+#: example, pays per-page batch overheads that only amortise on dense
+#: low-cardinality schemas, so ``auto`` upgrades BRS only there
+#: (BENCH_core.json records both the demotion measurement and the shape
+#: on which it now wins). A predicate variant with no dataset in hand
+#: stays scalar (conservative: shape unknown).
+_AUTO: dict[str, object] = {}
 
 
 def register_variant(scalar: str, vector: str, *, auto=True) -> None:
     """Declare ``vector`` as the numpy-backend variant of ``scalar``.
 
     Called at import time by :mod:`repro.core.registry` for each pair;
-    idempotent so re-imports are harmless. ``auto`` may be:
-
-    - ``True``  — ``auto`` dispatch may always pick the variant;
-    - ``False`` — reachable via explicit ``backend="numpy"`` only;
-    - a callable ``predicate(dataset) -> bool`` — ``auto`` picks the
-      variant exactly when the predicate accepts the dataset's shape.
+    idempotent so re-imports are harmless. ``auto`` is ``True`` (``auto``
+    dispatch may always pick the variant) or a callable
+    ``predicate(dataset) -> bool`` (``auto`` picks the variant exactly
+    when the predicate accepts the dataset's shape).
     """
     _VECTOR_OF[scalar] = vector
     _SCALAR_OF[vector] = scalar
-    _AUTO_OK.discard(vector)
-    _AUTO_WHEN.pop(vector, None)
-    if callable(auto):
-        _AUTO_WHEN[vector] = auto
-    elif auto:
-        _AUTO_OK.add(vector)
+    _AUTO[vector] = auto
 
 
 def vector_variant(name: str) -> str | None:
@@ -118,8 +108,8 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
       algorithm with no vectorised implementation is an error.
     - ``auto``     — the vector variant when one exists, numpy imports,
       ``dataset`` (when given) is fully categorical, and the variant is
-      either unconditionally auto-eligible or its shape predicate
-      accepts the dataset; else ``name``.
+      either registered ``auto=True`` or its shape predicate accepts the
+      dataset; else ``name``.
     """
     backend = normalize_backend(backend)
     if backend is None:
@@ -145,9 +135,7 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
         return scalar_variant(name)
     if dataset is not None and not dataset.space.is_fully_categorical():
         return scalar_variant(name)
-    if vector in _AUTO_OK:
-        return vector
-    predicate = _AUTO_WHEN.get(vector)
-    if predicate is not None and dataset is not None and predicate(dataset):
+    rule = _AUTO[vector]
+    if rule is True or (dataset is not None and rule(dataset)):
         return vector
     return scalar_variant(name)

@@ -257,10 +257,6 @@ class MaintainedEngine(ReverseSkylineEngine):
         algo = self._ctx_algorithm(ctx, spec.algorithm or self.default_algorithm)
         return self._translate(ctx, algo.run(spec.query))
 
-    def _prepare_for(self, spec) -> None:
-        if spec.kind == "query":
-            self._algorithm(spec.algorithm or self.default_algorithm)
-
     def skyband(self, query, k: int) -> RSResult:
         raise AlgorithmError(
             "maintained engines do not answer skyband queries; "

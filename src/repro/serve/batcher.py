@@ -85,6 +85,10 @@ class PendingQuery:
     #: (``None``: it can only run alone, so it never measures the single
     #: path for the cost rule).
     group_key: Any = None
+    #: The result-cache key and version taken at admission; the answer
+    #: is cached under them (``None``: not cacheable).
+    cache_key: Any = None
+    cache_version: int | None = None
 
     def resolve(self, result: Any) -> None:
         if not self.future.done():

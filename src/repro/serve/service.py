@@ -7,10 +7,12 @@ away per batch:
 - the warm :class:`~repro.engine.ReverseSkylineEngine` (layout sort,
   prepared algorithm instances, numpy plans — paid once at startup),
 - the process-wide plan cache and the engine's result cache,
-- a *persistent* worker pool. In ``process`` mode the dataset and the
-  warmed plans are published once over shared memory
-  (:mod:`repro.exec.shm`) and every worker attaches at initialization;
-  requests then ship only specs, never data.
+- a *persistent* worker pool, owned by the same
+  :class:`~repro.exec.dispatch.Dispatcher` the executor runs batches
+  on. In ``process`` mode the dataset and the warmed plans are
+  published once over shared memory (:mod:`repro.exec.shm`) and every
+  worker attaches at initialization; requests then ship only specs,
+  never data.
 
 Requests flow admission → micro-batcher → pool::
 
@@ -24,21 +26,21 @@ Deadlines are enforced at three stages (the wire error names which):
 ``execute`` (the awaiting client timed out; sunk worker cost is
 bounded by one payload).
 
-A crashed pool worker (``BrokenProcessPool``) triggers one in-place
-pool rebuild reusing the published manifest, and the in-flight payload
-is retried once — the retried result is bit-identical because answers
-depend only on the spec. A second failure surfaces as a structured
-``query-error``.
+A crashed pool worker (``BrokenProcessPool``) and a compaction take
+one rebuild path (:meth:`QueryService._rebuild`): the first reuses the
+published segment, the second republishes over the compacted base.
+Requests that arrive during a rebuild wait for it; payloads the old
+pool lost are retried once on the replacement — the retried result is
+bit-identical because answers depend only on the spec. A second
+failure surfaces as a structured ``query-error``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import (
     AlgorithmError,
@@ -48,16 +50,16 @@ from repro.errors import (
     ServiceError,
 )
 from repro.exec.cache import CacheKey
-from repro.exec.executor import (
-    QueryExecutor,
-    QuerySpec,
-    _process_worker_init,
-    _process_worker_run_payload,
+# In-process payloads look _run_group and _run_with_recovery up on this
+# module (see _new_spine), so wrappers installed here see serve payloads.
+from repro.exec.dispatch import (  # noqa: F401
+    Dispatcher,
     _run_group,
     _run_with_recovery,
-    planner_group_key,
+    absorb,
     shared_scan_answer,
 )
+from repro.exec.executor import QuerySpec, planner_group_key
 from repro.obs import hooks as _obs
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import MicroBatcher, PendingQuery
@@ -76,14 +78,6 @@ class ExecutionFailed(ReproError):
 
 def _ms(seconds: float | None) -> float | None:
     return None if seconds is None else seconds * 1000.0
-
-
-def _worker_ident(delay_s: float) -> int:
-    """Pool-worker probe: hold the worker briefly so concurrent probes
-    land on distinct workers, then report its pid. Module-level so the
-    process pool can pickle it."""
-    time.sleep(delay_s)
-    return os.getpid()
 
 
 @dataclass(frozen=True)
@@ -140,19 +134,12 @@ class ServiceStats:
     shed: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "served": self.served,
-            "failed": self.failed,
-            "cache_hits": self.cache_hits,
-            "deadline": {
-                "queue": self.deadline_queue,
-                "dispatch": self.deadline_dispatch,
-                "execute": self.deadline_execute,
-            },
-            "pool_rebuilds": self.pool_rebuilds,
-            "shed": dict(self.shed),
+        out = asdict(self)
+        out["deadline"] = {
+            stage: out.pop(f"deadline_{stage}")
+            for stage in ("queue", "dispatch", "execute")
         }
+        return out
 
 
 class QueryService:
@@ -181,19 +168,10 @@ class QueryService:
             adaptive=self.config.adaptive_window,
             workers=self.config.workers,
         )
-        self._pool = None
-        #: Bumped on every successful rebuild; payload tasks remember the
-        #: epoch they submitted against so concurrent BrokenProcessPool
-        #: failures trigger exactly one rebuild (see :meth:`_ensure_pool`).
-        self._pool_epoch = 0
+        self._spine = self._new_spine()
+        #: Held for the whole of a pool rebuild (see :meth:`_rebuild`); a
+        #: payload that arrives meanwhile waits on it.
         self._rebuild_lock = asyncio.Lock()
-        self._manifests: tuple = ()
-        self._initargs = None
-        #: Latest maintained-engine delta wire state; every process-pool
-        #: payload is wrapped in a ``("maint", blob, wire)`` envelope so
-        #: workers sync to the parent's epoch lazily, without a pool
-        #: rebuild or republish (sync is idempotent — stale blobs no-op).
-        self._maint_blob = None
         self._inflight = 0
         self._running = False
         self._tasks: set[asyncio.Task] = set()
@@ -210,87 +188,63 @@ class QueryService:
         await loop.run_in_executor(
             None, lambda: self.engine.warm(plans=self.config.plan)
         )
-        if self.config.pool == "process":
-            await loop.run_in_executor(None, self._build_process_pool)
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repro-serve",
-            )
+        await loop.run_in_executor(None, self._spine.start)
         self._running = True
         self._batcher.start()
         if _obs.enabled:
             _obs.set_gauge("repro_serve_running", 1.0)
 
-    def _build_process_pool(self) -> None:
-        """Publish the dataset + plans once, then start a pool whose
-        initializer attaches every worker to the published segment."""
-        helper = QueryExecutor(
+    def _new_spine(self) -> Dispatcher:
+        return Dispatcher(
             self.engine,
-            pool="process",
+            pool=self.config.pool,
             workers=self.config.workers,
-            plan=self.config.plan,
             shm=self.config.shm,
+            warm=self.config.plan,
+            # Start and verify every worker now, not on first request.
+            prespawn=True,
+            ops=sys.modules[__name__],
         )
-        if self._initargs is None:
-            self._manifests, self._initargs = helper._process_initargs(
-                warm=self.config.plan
-            )
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            initializer=_process_worker_init,
-            initargs=self._initargs,
-        )
-        # Pre-spawn and verify every worker now, not on first request.
-        hold = 0.05 if self.config.workers > 1 else 0.0
-        probes = [
-            self._pool.submit(_worker_ident, hold)
-            for _ in range(self.config.workers)
-        ]
-        self._worker_pids = sorted({p.result(timeout=60) for p in probes})
 
     def worker_pids(self) -> list[int]:
         """Pids of the live pool workers (process pool; chaos tests)."""
-        if self.config.pool != "process" or self._pool is None:
-            return []
-        procs = getattr(self._pool, "_processes", None) or {}
-        return sorted(procs.keys())
+        return self._spine.worker_pids()
 
     async def stop(self) -> None:
-        """Stop admitting, fail queued work, tear down pool + segments."""
+        """Stop admitting, fail queued work, let in-flight payloads
+        finish (their results still land), tear down pool + segments."""
+        await self._shut_down(answer_queued=False, deadline_s=None)
+
+    async def _shut_down(
+        self, *, answer_queued: bool, deadline_s: float | None
+    ) -> None:
         if not self._running:
             return
-        self._running = False
+        loop = asyncio.get_running_loop()
+        self._running = False  # new submits shed with reason="shutdown"
         await self._batcher.stop()
         for p in self._batcher.drain():
-            p.fail(
-                OverloadError(
-                    "service shutting down", retry_after_s=1.0, reason="shutdown"
+            if not answer_queued:
+                p.fail(
+                    OverloadError(
+                        "service shutting down", retry_after_s=1.0, reason="shutdown"
+                    )
                 )
-            )
-        # Let in-flight payload tasks finish (their results still land).
+            elif not p.future.done():
+                # The collection loop is gone; anything still queued would
+                # otherwise hang its client forever — dispatch it now.
+                self._dispatch(("single", p.spec), [p])
+        if self._tasks and deadline_s is not None:
+            await asyncio.wait(tuple(self._tasks), timeout=deadline_s)
+            for t in tuple(self._tasks):
+                if not t.done():
+                    t.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: pool.shutdown(wait=True)
-            )
-        self._release_shared_state()
+        # Then the pool and its segments: the /dev/shm audit must be clean.
+        await loop.run_in_executor(None, self._spine.close)
         if _obs.enabled:
             _obs.set_gauge("repro_serve_running", 0.0)
-
-    def _release_shared_state(self) -> None:
-        """Unlink the published segments (base + any delta segment) and
-        drop any attachment of them — the /dev/shm audit must come back
-        clean after shutdown."""
-        from repro.exec import shm as _shm
-
-        for manifest in self._manifests:
-            _shm.detach_manifest(manifest)
-            _shm.unlink_manifest(manifest)
-        self._manifests = ()
-        self._initargs = None
 
     async def swap_dataset(self, dataset) -> None:
         """Replace the served dataset: quiesce, release the old shared
@@ -311,6 +265,7 @@ class QueryService:
             page_bytes=old.page_bytes,
             log_queries=False,
         )
+        self._spine = self._new_spine()
         if was_running:
             await self.start()
 
@@ -325,8 +280,8 @@ class QueryService:
         payload in a ``("maint", blob, wire)`` envelope — no pool
         rebuild, no republish. Only a *compaction* (which rewrites the
         base the shm segment and worker engines were built from) forces
-        a pool rebuild, and even then in-flight payloads retry against
-        the replacement pool instead of failing.
+        a pool rebuild: requests that arrive meanwhile wait for it, and
+        payloads the old pool drops rerun on the replacement.
         """
         apply = getattr(self.engine, "apply_updates", None)
         if apply is None:
@@ -338,12 +293,11 @@ class QueryService:
         res = await loop.run_in_executor(
             None, lambda: apply(inserts=inserts, deletes=deletes)
         )
-        if self.config.pool == "process" and self._pool is not None:
+        if self._running and self.config.pool == "process":
             if res.compacted:
-                self._maint_blob = None
-                await self._rebuild_pool_for_base()
+                await self._rebuild(republish=True)
             else:
-                self._maint_blob = self.engine._export_maint_wire()
+                self._spine.sync_deltas()
         return {
             "epoch": res.epoch,
             "inserted": res.inserted,
@@ -353,27 +307,21 @@ class QueryService:
             "tombstones": res.tombstones,
         }
 
-    async def _rebuild_pool_for_base(self) -> None:
-        """Compaction rewrote the base dataset: the published segment
-        and every worker's attached engine describe the *old* base, so
-        replace the pool against a freshly republished segment. Payloads
-        in flight on the old pool see their futures cancelled and retry
-        through :meth:`_ensure_pool`, which observes the bumped epoch
-        and resubmits to the replacement — no request is failed."""
+    async def _rebuild(self, epoch: int | None = None, *, republish=False) -> None:
+        """The one rebuild path: a dead worker passes the epoch it saw, a
+        compaction ``republish`` (any epoch). New payloads wait on the
+        lock meanwhile; the epoch guard turns the rest of a stampede of
+        failed payloads into no-ops that retry on the new pool."""
         async with self._rebuild_lock:
-            self.stats.pool_rebuilds += 1
-            if _obs.enabled:
-                _obs.inc("repro_serve_pool_rebuilds_total")
-
-            def _swap() -> None:
-                old, self._pool = self._pool, None
-                if old is not None:
-                    old.shutdown(wait=False, cancel_futures=True)
-                self._release_shared_state()
-                self._build_process_pool()
-
-            await asyncio.get_running_loop().run_in_executor(None, _swap)
-            self._pool_epoch += 1
+            if epoch is None:
+                epoch = self._spine.epoch
+            rebuilt = await asyncio.get_running_loop().run_in_executor(
+                None, lambda: self._spine.rebuild(epoch, republish=republish)
+            )
+            if rebuilt:
+                self.stats.pool_rebuilds += 1
+                if _obs.enabled:
+                    _obs.inc("repro_serve_pool_rebuilds_total")
 
     async def drain(self, deadline_s: float = 5.0) -> None:
         """Graceful shutdown: stop admitting, *answer* everything
@@ -384,32 +332,7 @@ class QueryService:
         dispatches it and waits up to ``deadline_s`` for the answers to
         settle. Only payloads still running past the deadline are
         cancelled (their clients get a typed :class:`ServiceError`)."""
-        if not self._running:
-            return
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + deadline_s
-        self._running = False  # new submits shed with reason="shutdown"
-        await self._batcher.stop()
-        # The collection loop is gone; anything still queued would
-        # otherwise hang its client forever — dispatch it now.
-        for p in self._batcher.drain():
-            if not p.future.done():
-                self._dispatch(("single", p.spec), [p])
-        if self._tasks:
-            await asyncio.wait(
-                tuple(self._tasks), timeout=max(0.0, deadline - loop.time())
-            )
-        for t in tuple(self._tasks):
-            if not t.done():
-                t.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            await loop.run_in_executor(None, lambda: pool.shutdown(wait=True))
-        self._release_shared_state()
-        if _obs.enabled:
-            _obs.set_gauge("repro_serve_running", 0.0)
+        await self._shut_down(answer_queued=True, deadline_s=deadline_s)
 
     # -- request path ----------------------------------------------
 
@@ -429,25 +352,6 @@ class QueryService:
         except ReproError as exc:
             raise BadRequest(str(exc)) from exc
 
-    def _cache_key(self, spec: QuerySpec) -> CacheKey | None:
-        if not self.config.cache:
-            return None
-        try:
-            return CacheKey(
-                kind=spec.kind,
-                algorithm=spec.algorithm or self.engine.default_algorithm,
-                fingerprint=self.engine.layout_fingerprint(),
-                query=tuple(spec.query),
-                k=spec.k,
-                attributes=(
-                    self.engine._resolve_indices(spec.attributes)
-                    if spec.attributes is not None
-                    else None
-                ),
-            )
-        except ReproError:
-            return None
-
     async def submit(self, req: ServeRequest) -> dict:
         """Answer one request; raises the typed service errors
         (:class:`OverloadError`, :class:`DeadlineError`,
@@ -463,9 +367,19 @@ class QueryService:
         if _obs.enabled:
             _obs.inc("repro_serve_requests_total", 1, tenant=req.tenant)
 
-        key = self._cache_key(spec)
+        key = version = None
+        if self.config.cache:
+            cache = self.engine.result_cache()
+            # Key and version are taken at admission and the answer is
+            # cached under them (_settle): an update landing meanwhile bumps
+            # the version, so no answer is cached under another epoch's key.
+            version = cache.version
+            try:
+                key = CacheKey.of(self.engine, spec, self.engine.layout_fingerprint())
+            except ReproError:
+                pass
         if key is not None:
-            hit = self.engine.result_cache().get(key)
+            hit = cache.get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 if _obs.enabled:
@@ -485,6 +399,8 @@ class QueryService:
             tenant=req.tenant,
             request_id=req.request_id,
             admitted_at=loop.time(),
+            cache_key=key,
+            cache_version=version,
         )
         self._inflight += 1
         try:
@@ -616,26 +532,23 @@ class QueryService:
         start = loop.time()
         try:
             out = await self._run_wire(wire)
-        except ReproError as exc:
-            for p in live:
-                p.fail(exc)
-            self.stats.failed += len(live)
-            return
         except BaseException as exc:
-            # Anything non-library that escapes the pool path (a second
+            # Whatever escapes the pool path — a library error, a second
             # BrokenProcessPool on the post-rebuild retry, a rebuild that
-            # could not respawn workers, cancellation at teardown) must
-            # still settle every member future — a client with no
+            # could not respawn workers, cancellation at teardown — must
+            # still settle every member future: a client with no
             # deadline would otherwise await forever.
-            err = ServiceError(f"query execution failed in the pool: {exc!r}")
-            err.__cause__ = exc if isinstance(exc, Exception) else None
+            err = exc
+            if not isinstance(exc, ReproError):
+                err = ServiceError(f"query execution failed in the pool: {exc!r}")
+                err.__cause__ = exc if isinstance(exc, Exception) else None
             for p in live:
                 p.fail(err)
             self.stats.failed += len(live)
             if _obs.enabled:
                 _obs.inc("repro_serve_failures_total", len(live))
-            if isinstance(exc, asyncio.CancelledError):
-                raise
+            if not isinstance(exc, Exception):
+                raise  # cancellation, interrupt, exit
             return
         wall_s = loop.time() - start
         self._admission.observe_service_time(wall_s / len(live))
@@ -666,92 +579,30 @@ class QueryService:
             self.engine._record_failure("serve-query", p.spec, outcome.error)
             p.fail(ExecutionFailed(outcome.error))
             return
-        key = self._cache_key(p.spec)
-        if key is not None:
-            self.engine.result_cache().put(key, outcome.result)
+        if p.cache_key is not None:
+            self.engine.result_cache().put(
+                p.cache_key, outcome.result, version=p.cache_version
+            )
         self.engine._record(
             "serve-query", outcome.result, wall_time_s=wall_s, cached=False
         )
         p.resolve((outcome, wall_s))
 
     async def _run_wire(self, wire):
-        """Run one payload on the pool; process pools get one in-place
-        rebuild + retry if a worker died mid-request."""
-        loop = asyncio.get_running_loop()
-        if self.config.pool == "process":
-            pool, epoch = self._pool, self._pool_epoch
-            if pool is None:
-                raise ServiceError("process pool unavailable (rebuild failed)")
-            blob = self._maint_blob
-            if blob is not None:
-                # Piggyback the latest delta state on the payload; the
-                # worker's sync is idempotent (epoch-guarded) so repeat
-                # delivery costs one dict comparison, never a rebuild.
-                wire = ("maint", blob, wire)
+        """Run one payload on the pool, after any rebuild under way; a
+        payload the pool lost reruns once on the replacement."""
+        spine = self._spine
+        for retry in (False, True):
+            if self._rebuild_lock.locked():
+                async with self._rebuild_lock:
+                    pass
+            epoch = spine.epoch
             try:
-                return await loop.run_in_executor(
-                    pool, _process_worker_run_payload, wire
-                )
-            except (BrokenProcessPool, asyncio.CancelledError, RuntimeError) as exc:
-                # BrokenProcessPool: a worker died under us. The other
-                # two are collateral of a *concurrent* rebuild tearing
-                # down the pool we submitted to (cancel_futures cancels
-                # our future; submit-after-shutdown raises RuntimeError)
-                # — but only when the pool really was swapped out; a
-                # cancellation or RuntimeError with our pool still
-                # current is not ours to absorb.
-                if not isinstance(exc, BrokenProcessPool) and pool is self._pool:
+                return absorb(await asyncio.wrap_future(spine.submit(wire)))
+            except (BrokenProcessPool, asyncio.CancelledError) as exc:
+                # A dead worker, or a rebuild that retired our pool and
+                # cancelled the future — not this task being cancelled.
+                lost = isinstance(exc, BrokenProcessPool) or epoch != spine.epoch
+                if retry or not lost:
                     raise
-                await self._ensure_pool(epoch)
-                pool = self._pool
-                if pool is None:
-                    raise ServiceError(
-                        "process pool unavailable (rebuild failed)"
-                    ) from None
-                # Retry once: answers depend only on the spec, so the
-                # retried result is bit-identical to an undisturbed run.
-                return await loop.run_in_executor(
-                    pool, _process_worker_run_payload, wire
-                )
-        return await loop.run_in_executor(self._pool, self._run_inline, wire)
-
-    async def _ensure_pool(self, epoch: int) -> None:
-        """Serialize pool rebuilds. One dead worker fails *every*
-        in-flight payload with ``BrokenProcessPool``, so several tasks
-        arrive here at once; only the first to take the lock rebuilds,
-        the rest see the epoch has moved on and simply retry against the
-        replacement — a second rebuild would tear down a healthy pool
-        mid-verification."""
-        async with self._rebuild_lock:
-            if self._pool_epoch != epoch and self._pool is not None:
-                return  # someone else already replaced the pool we saw break
-            self.stats.pool_rebuilds += 1
-            if _obs.enabled:
-                _obs.inc("repro_serve_pool_rebuilds_total")
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._rebuild_pool
-            )
-            self._pool_epoch += 1
-
-    def _rebuild_pool(self) -> None:
-        """Replace a broken process pool, reusing the published manifest
-        and initargs (the shared segment survived the worker). On a
-        failed rebuild ``self._pool`` stays ``None`` and callers surface
-        a typed error instead of executing on the default executor."""
-        broken, self._pool = self._pool, None
-        if broken is not None:
-            broken.shutdown(wait=False, cancel_futures=True)
-        self._build_process_pool()
-
-    def _run_inline(self, wire):
-        """Thread-pool payload runner against the shared warm engine."""
-        injector = getattr(self.engine, "fault_injector", None)
-        policy = getattr(self.engine, "retry_policy", None)
-        if policy is None:
-            from repro.faults.retry import RetryPolicy
-
-            policy = RetryPolicy()
-        if wire[0] == "single":
-            return _run_with_recovery(self.engine, wire[1], injector, policy)
-        _, specs, backend = wire
-        return _run_group(self.engine, specs, backend, injector, policy)
+                await self._rebuild(epoch)

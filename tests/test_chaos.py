@@ -7,8 +7,11 @@ smaller smoke-sized slice so the suite stays fast, plus direct tests of
 the degraded paths (exhaustion, crash-only storms, bad specs).
 """
 
+import os
+
 import pytest
 
+from repro.data.queries import query_batch
 from repro.data.synthetic import synthetic_dataset
 from repro.engine import ReverseSkylineEngine
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
@@ -150,3 +153,66 @@ class TestDegradedPaths:
         assert len(engine.result_cache()) == 0  # no poisoned entry
         second = engine.query_many([(1, 2, 3)], pool="serial")
         assert second.failed == 1 and second.cache_hits == 0
+
+
+class TestDeadWorkers:
+    """A process worker that really dies (``os._exit``) costs a pool
+    rebuild in ``query_many``, never the batch."""
+
+    @staticmethod
+    def _die_when(monkeypatch, should_die):
+        """Make forked pool workers exit hard on the specs ``should_die``
+        picks; the parent process keeps answering normally."""
+        parent = os.getpid()
+        real = ReverseSkylineEngine._timed_execute
+
+        def timed_execute(self, spec):
+            if os.getpid() != parent and should_die(spec):
+                os._exit(1)
+            return real(self, spec)
+
+        monkeypatch.setattr(ReverseSkylineEngine, "_timed_execute", timed_execute)
+
+    @staticmethod
+    def _expected(ds, queries):
+        clean = ReverseSkylineEngine(ds, page_bytes=128, log_queries=False)
+        return [tuple(clean.query(q).record_ids) for q in queries]
+
+    def test_worker_killed_once_is_rebuilt_and_the_batch_completes(
+        self, ds, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "died"
+
+        def first_job_anywhere(spec):
+            try:  # O_EXCL: exactly one job, in one worker, ever dies
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return False
+            return True
+
+        self._die_when(monkeypatch, first_job_anywhere)
+        queries = query_batch(ds, 12, seed=8)
+        expected = self._expected(ds, queries)
+        engine = ReverseSkylineEngine(ds, page_bytes=128, log_queries=False)
+        report = engine.query_many(queries, pool="process", workers=2, cache=False)
+        assert marker.exists()  # a worker really died mid-batch
+        assert report.ok
+        assert [tuple(r.record_ids) for r in report.results] == expected
+
+    def test_spec_that_always_kills_its_worker_becomes_a_query_error(
+        self, ds, monkeypatch
+    ):
+        queries = query_batch(ds, 12, seed=9)
+        killer = queries[5]
+        self._die_when(monkeypatch, lambda spec: spec.query == killer)
+        expected = self._expected(ds, queries)
+        engine = ReverseSkylineEngine(ds, page_bytes=128, log_queries=False)
+        report = engine.query_many(queries, pool="process", workers=2, cache=False)
+        assert report.results[5] is None
+        for i, (want, result) in enumerate(zip(expected, report.results)):
+            if result is not None:
+                assert tuple(result.record_ids) == want
+                continue
+            error = report.errors[i]
+            assert error is not None and error.error_type == "BrokenProcessPool"
+            assert error.attempts == 2

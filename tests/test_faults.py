@@ -213,6 +213,7 @@ class TestRetryJitter:
     def test_executor_ships_jitter_to_workers(self):
         from repro.data.examples import running_example
         from repro.engine import ReverseSkylineEngine
+        from repro.exec.dispatch import _retry_args
         from repro.exec.executor import QueryExecutor
 
         engine = ReverseSkylineEngine(running_example())
@@ -220,7 +221,7 @@ class TestRetryJitter:
             engine,
             retry_policy=RetryPolicy(jitter=0.25, jitter_salt=None),
         )
-        args = ex._retry_args()
+        args = _retry_args(ex.retry_policy)
         assert args["jitter"] == 0.25
         # None stays None so each worker jitters from its own pid.
         assert args["jitter_salt"] is None

@@ -15,12 +15,8 @@ from repro.core.trs import TRS
 from repro.data.queries import query_batch
 from repro.data.synthetic import synthetic_dataset
 from repro.engine import ReverseSkylineEngine
-from repro.exec.executor import (
-    QuerySpec,
-    _run_group,
-    _run_with_recovery,
-    _shared_scan_for,
-)
+from repro.exec.dispatch import _run_group, _run_with_recovery, _shared_scan_for
+from repro.exec.executor import QuerySpec
 from repro.faults.retry import RetryPolicy
 
 _IO = ("sequential_reads", "random_reads", "sequential_writes", "random_writes")

@@ -457,22 +457,27 @@ class TestFailureSettlement:
         from repro.serve.service import QueryService
 
         svc = QueryService(_engine(), ServiceConfig(pool="process", workers=1))
+        spine = svc._spine
         rebuilds = []
 
-        def fake_rebuild():
-            rebuilds.append(1)
-            svc._pool = object()  # "a fresh healthy pool"
+        class _Pool:
+            def shutdown(self, **kwargs):
+                pass
 
-        svc._rebuild_pool = fake_rebuild
-        svc._pool = object()  # the broken pool every task saw
+        def fake_spawn():
+            rebuilds.append(1)
+            spine._executor = _Pool()  # "a fresh healthy pool"
+
+        spine._spawn = fake_spawn
+        spine._executor = _Pool()  # the broken pool every task saw
 
         async def storm():
-            await asyncio.gather(*(svc._ensure_pool(0) for _ in range(6)))
+            await asyncio.gather(*(svc._rebuild(0) for _ in range(6)))
 
         asyncio.run(storm())
         assert rebuilds == [1]
         assert svc.stats.pool_rebuilds == 1
-        assert svc._pool_epoch == 1
+        assert spine.epoch == 1
 
     def test_closed_loop_raises_on_dead_server_instead_of_hanging(self):
         """Regression: a client thread failing before the start barrier
@@ -1161,3 +1166,148 @@ class TestServedCosts:
         assert batcher["split_rounds"] == 0
         assert batcher["single_cpu_ms"] is None
         assert batcher["group_cpu_ms_per_query"] is None
+
+
+# -- the execution spine under the service -----------------------------------
+
+
+class TestSpine:
+    def test_compaction_under_reads_fails_no_read(self, server_factory, monkeypatch):
+        """A compaction rebuilds the process pool while reads are in
+        flight, and more reads arrive during the (slowed) rebuild. None
+        fails: each answers the state before or after the update, and
+        reads sent during the rebuild or after the update returns answer
+        the new state."""
+        import threading
+
+        from repro.exec import shm as _shm
+
+        engine = _maint_engine(
+            n=200, backend="numpy", compact_min=12, compact_fraction=0.0
+        )
+        handle = server_factory(
+            engine, ServiceConfig(pool="process", workers=2, cache=False)
+        )
+        probes = [(a, b, c) for a in range(5) for b in range(4) for c in range(2)]
+        before = {q: _live_ids(engine.store, q) for q in probes}
+        real_publish = _shm.publish_engine
+        rebuilding = threading.Event()
+
+        def slow_publish(eng):
+            rebuilding.set()
+            time.sleep(0.5)
+            return real_publish(eng)
+
+        monkeypatch.setattr(_shm, "publish_engine", slow_publish)
+        stop = threading.Event()
+        reads, late = [], []
+
+        def reader(offset):
+            with ServeClient("127.0.0.1", handle.port, timeout_s=30) as client:
+                i = offset
+                while not stop.is_set():
+                    q = probes[i % len(probes)]
+                    t0 = time.monotonic()
+                    resp = client.query(q)
+                    reads.append((q, resp, t0))
+                    i += 1
+
+        def late_reader():
+            with ServeClient("127.0.0.1", handle.port, timeout_s=30) as client:
+                assert rebuilding.wait(30)
+                for q in probes[:5]:
+                    late.append((q, client.query(q)))
+
+        threads = [threading.Thread(target=reader, args=(k * 7,)) for k in range(4)]
+        threads.append(threading.Thread(target=late_reader))
+        for t in threads:
+            t.start()
+        time.sleep(0.2)
+        with ServeClient("127.0.0.1", handle.port, timeout_s=30) as client:
+            up = client.request(
+                {"op": "update", "inserts": [[i % 5, i % 4, i % 2] for i in range(15)],
+                 "deletes": [3, 8]}
+            )
+            t_done = time.monotonic()
+        time.sleep(0.2)
+        stop.set()
+        for t in threads:
+            t.join(30)
+        assert up["ok"] and up["compacted"], up
+        assert handle.service.stats.pool_rebuilds == 1
+        after = {q: _live_ids(engine.store, q) for q in probes}
+        assert len(late) == 5
+        for q, resp in late:
+            assert resp["ok"], resp
+            assert sorted(resp["records"]) == after[q]
+        for q, resp, t0 in reads:
+            assert resp["ok"], resp
+            got = sorted(resp["records"])
+            assert got in (before[q], after[q])
+            if t0 > t_done:
+                assert got == after[q]
+
+    def test_process_pool_worker_metrics_reach_the_registry(self, server_factory):
+        from repro.obs import hooks
+        from repro.obs.metrics import series_name
+
+        was = hooks.is_enabled()
+        hooks.enable(reset_state=True)
+        try:
+            handle = server_factory(
+                _engine(), ServiceConfig(pool="process", workers=2, cache=False)
+            )
+            with ServeClient("127.0.0.1", handle.port) as client:
+                for i in range(10):
+                    assert client.query((i % 5, i % 5, i % 4))["ok"]
+            key = series_name("repro_queries_total", {"algorithm": "TRS"})
+            assert hooks.snapshot().counters.get(key, 0) == 10
+        finally:
+            hooks.reset()
+            if not was:
+                hooks.disable()
+
+    def test_answer_computed_across_an_update_is_not_cached_as_the_new_epoch(
+        self, server_factory
+    ):
+        """A read that computed its answer before an update landed must
+        not be cached under the post-update epoch: the next identical
+        read recomputes and no longer lists the deleted record."""
+        import threading
+
+        from repro.maint import MaintainedEngine
+
+        ds = synthetic_dataset(400, [6, 5, 4], seed=3)
+        engine = MaintainedEngine(ds, log_queries=False)
+        q = (1, 2, 3)
+        victim = _live_ids(engine.store, q)[0]
+        computed, release = threading.Event(), threading.Event()
+        real = engine._timed_execute
+
+        def held(spec):
+            out = real(spec)
+            if spec.query == q and not release.is_set():
+                computed.set()
+                release.wait(10)
+            return out
+
+        engine._timed_execute = held
+        handle = server_factory(engine, ServiceConfig(pool="thread", workers=2))
+        first = {}
+
+        def ask():
+            with ServeClient("127.0.0.1", handle.port) as client:
+                first["resp"] = client.query(q)
+
+        asker = threading.Thread(target=ask)
+        asker.start()
+        assert computed.wait(10)
+        with ServeClient("127.0.0.1", handle.port) as client:
+            assert client.request({"op": "update", "deletes": [victim]})["ok"]
+            release.set()
+            asker.join(10)
+            assert first["resp"]["ok"] and victim in first["resp"]["records"]
+            again = client.query(q)
+        assert again["ok"] and not again["cached"]
+        assert victim not in again["records"]
+        assert sorted(again["records"]) == _live_ids(engine.store, q)

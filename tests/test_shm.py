@@ -96,7 +96,7 @@ class TestEnginePublication:
         assert _shm.active_segments() == ()
 
     def test_warmed_plans_ship_and_seed_the_worker_cache(self):
-        from repro.exec.executor import _warm_plan_cache
+        from repro.exec.dispatch import _warm_plan_cache
         from repro.kernels.plancache import configure, plan_cache
 
         ds = synthetic_dataset(150, [5, 5, 5], seed=9)
